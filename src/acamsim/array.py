@@ -19,6 +19,7 @@ so the sense comparison is inverted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,15 @@ from .errors import (DomainError, EmptyIntervalError, NoDischargeError)
 
 MAX_WORD_LENGTH_CAP = 2 ** 31 - 1
 LN10 = math.log(10.0)
+
+# search_many rejects a row without the electrical kernel when one cell leg
+# alone conducts at least PRUNE_FACTOR * G_th. The factor is a rounding
+# margin: it dwarfs any floating-point error in the divider, inverter and
+# threshold arithmetic, so a pruned row is a mismatch in the full kernel too.
+PRUNE_FACTOR = 2.0
+# Input x row x column elements search_many handles per chunk of inputs, which
+# bounds its working memory whatever the batch size.
+CHUNK_ELEMENTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -180,36 +190,98 @@ def match_threshold_conductance(a: ArraySpec) -> float:
     return a.c_ml_total * math.log(1.0 / (1.0 - a.sense_frac)) / a.t_sense
 
 
+def _check_stimuli(a: ArraySpec, stimuli) -> np.ndarray:
+    stimuli = np.atleast_2d(np.asarray(stimuli, dtype=float))
+    if stimuli.shape[1] != a.cols:
+        raise DomainError(
+            f"stimulus length {stimuli.shape[1]} does not match {a.cols} columns")
+    # written so that NaN fails the range check too
+    if not np.all((stimuli >= 0.0) & (stimuli <= 1.0)):
+        raise DomainError("stimulus voltages must be finite and lie in [0, 1] V")
+    return stimuli
+
+
+def _leg(v_g, variant: str, p: DeviceParams, tp: TsDeviceParams | None):
+    """Conductance of one pull-down (or TS pull-up) leg at gate voltage ``v_g``."""
+    if variant == "mosfet":
+        return pulldown_conductance(v_g, p)
+    return ts_conductance_off_curve(v_g, tp)
+
+
+def _row_sum(a: ArraySpec, g1, g2, g_t, p: DeviceParams) -> np.ndarray:
+    """Sum over the last (column) axis of both legs of every cell.
+
+    ``g1``/``g2`` are the cells' memristor conductances and ``g_t`` the
+    divider-transistor conductance at each cell's DL voltage, broadcast
+    against each other. The M1 side drives its leg's gate directly, the M2
+    side goes through the inverter.
+    """
+    v_g1 = p.v_slhi * g1 / (g1 + g_t)
+    v_div2 = p.v_slhi * g2 / (g2 + g_t)
+    v_g2 = inverter_output(v_div2, p)
+    g_cell = (_leg(v_g1, a.variant, p, a.ts_params)
+              + _leg(v_g2, a.variant, p, a.ts_params))
+    return g_cell.sum(axis=-1)
+
+
 def row_conductances(a: ArraySpec, stimuli: np.ndarray,
                      p: DeviceParams) -> np.ndarray:
-    """Total ML pull-down (or pull-up) conductance per row.
+    """Total ML pull-down (or pull-up) conductance per row: the full kernel.
 
     ``stimuli`` has shape (n_searches, cols); the result is (n_searches, rows).
     Per cell the two legs are evaluated from the divider midpoints: the M1
     side drives its pull-down gate directly, the M2 side goes through the
     inverter. The TS variant feeds the same two node voltages into the
-    threshold-switching pull-ups (fresh OFF state each search).
+    threshold-switching pull-ups (fresh OFF state each search). Every cell
+    of every row is evaluated, so this is the oracle ``search_many`` is
+    checked against.
     """
-    stimuli = np.atleast_2d(np.asarray(stimuli, dtype=float))
-    if stimuli.shape[1] != a.cols:
-        raise DomainError(
-            f"stimulus length {stimuli.shape[1]} does not match {a.cols} columns")
-    if np.any(stimuli < 0.0) or np.any(stimuli > 1.0):
-        raise DomainError("stimulus voltages must lie in [0, 1] V")
-
+    stimuli = _check_stimuli(a, stimuli)
     g1, g2 = a.conductance_matrices()           # (rows, cols)
     g_t = transistor_conductance(stimuli, p)    # (n, cols)
-    g_t = g_t[:, None, :]                       # (n, 1, cols)
-    v_g1 = p.v_slhi * g1 / (g1 + g_t)           # (n, rows, cols)
-    v_div2 = p.v_slhi * g2 / (g2 + g_t)
-    v_g2 = inverter_output(v_div2, p)
+    return _row_sum(a, g1, g2, g_t[:, None, :], p)
 
-    if a.variant == "mosfet":
-        g_cell = pulldown_conductance(v_g1, p) + pulldown_conductance(v_g2, p)
-    else:
-        tp = a.ts_params
-        g_cell = ts_conductance_off_curve(v_g1, tp) + ts_conductance_off_curve(v_g2, tp)
-    return g_cell.sum(axis=2)
+
+@functools.lru_cache(maxsize=64)
+def _leg_gate_threshold(variant: str, tp: TsDeviceParams | None,
+                        p: DeviceParams, k: float) -> float | None:
+    """Gate voltage from which one leg conducts at least ``k``.
+
+    Bisection on the monotone leg curve over [0, v_slhi] to v_slhi / 2**40,
+    keeping the end where the leg reaches ``k``; None when it stays below
+    ``k`` up to the rail. Cached: one array geometry gives the same ``k`` on
+    every call.
+    """
+    if _leg(p.v_slhi, variant, p, tp) < k:
+        return None
+    lo, hi = 0.0, p.v_slhi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if _leg(mid, variant, p, tp) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _prune_thresholds(a: ArraySpec, g1: np.ndarray, g2: np.ndarray,
+                      p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell divider-transistor conductances past which one leg decides.
+
+    A cell with ``g_t <= t1`` drives its M1 leg gate to at least the gate
+    voltage ``vg_k`` where the leg reaches ``PRUNE_FACTOR * G_th``; one
+    with ``g_t >= t2`` pulls its M2 divider down to ``vd_k``, which the
+    inverter turns into at least ``vg_k``. Either way its row mismatches.
+    """
+    k = PRUNE_FACTOR * match_threshold_conductance(a)
+    vg_k = _leg_gate_threshold(a.variant, a.ts_params, p, k)
+    never = np.full(g1.shape, np.inf)
+    if vg_k is None:
+        return -never, never
+    t1 = g1 * (p.v_slhi / vg_k - 1.0)
+    vd_k = p.v_th_inv - (vg_k - p.v_th_inv) / p.inv_gain
+    t2 = g2 * (p.v_slhi / vd_k - 1.0) if vd_k > 0.0 else never
+    return t1, t2
 
 
 def _v_ml_at_sense(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
@@ -266,9 +338,42 @@ def search(a: ArraySpec, stimulus, p: DeviceParams) -> SearchResult:
 
 
 def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
-    """Vectorized match decisions: (n_searches, cols) -> (n_searches, rows) bools."""
-    g_row = row_conductances(a, stimuli, p)
-    return _matched(a, _v_ml_at_sense(a, g_row))
+    """Vectorized match decisions: (n_searches, cols) -> (n_searches, rows) bools.
+
+    The decisions equal the full kernel's, ``_matched`` applied to
+    :func:`row_conductances`, bit for bit; most rows are decided without it.
+    A row's conductance is a sum of non-negative leg conductances, so once
+    one leg reaches ``PRUNE_FACTOR * G_th`` the sum is past the sense
+    threshold whatever the other legs do, and the row mismatches. Each leg
+    is monotone in the divider-transistor conductance ``g_t`` of its
+    column (the M1 leg falls with it, the M2 leg rises through the
+    inverter), so that test is one compare of ``g_t`` with two per-cell
+    thresholds. Only rows that no single leg rejects go through the
+    electrical kernel, with the same float arithmetic as
+    :func:`row_conductances`. When ``PRUNE_FACTOR * G_th`` is beyond a
+    leg's maximum (very long words), no row is pruned.
+
+    Inputs are processed in chunks of at most ``CHUNK_ELEMENTS`` input x row
+    x column elements (one input when a single word exceeds it), so memory
+    stays bounded even when every row survives.
+    """
+    stimuli = _check_stimuli(a, stimuli)
+    g1, g2 = a.conductance_matrices()               # (rows, cols)
+    t1, t2 = _prune_thresholds(a, g1, g2, p)
+    t1, t2 = t1.T.copy(), t2.T.copy()               # (cols, rows)
+    out = np.zeros((stimuli.shape[0], a.rows), dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
+    for start in range(0, stimuli.shape[0], step):
+        g_t = transistor_conductance(stimuli[start:start + step], p)  # (m, cols)
+        live = np.ones((g_t.shape[0], a.rows), dtype=bool)
+        for c in range(a.cols):
+            g_col = g_t[:, c, None]
+            live &= g_col > t1[c]
+            live &= g_col < t2[c]
+        i, r = np.nonzero(live)
+        g_row = _row_sum(a, g1[r], g2[r], g_t[i], p)
+        out[start + i, r] = _matched(a, _v_ml_at_sense(a, g_row))
+    return out
 
 
 def discharge_latency(a: ArraySpec, stimulus, row: int, p: DeviceParams) -> float:

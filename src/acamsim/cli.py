@@ -3,7 +3,9 @@
 Subcommands: calibrate, compile, sweep, search, classify, cost. Outputs are
 machine-first (JSON/CSV) with text grids beside them; there is no plotting.
 Exit codes: 0 success, 2 parse/input error, 3 domain error, 4 convergence
-error. All commands are deterministic for a fixed --seed.
+error. ``classify`` reports an input line it cannot classify as an ``ERROR:``
+label naming the line, counts such lines on stderr, and still exits 0. All
+commands are deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .array import make_array, sweep_column
+from .array import make_array, search_many, sweep_column
 from .cell import (CellConfig, VoltageInterval, calibrate,
                    calibrated_defaults)
 from .cost import (AreaParams, EnergyParams, baseline_comparison,
@@ -53,6 +55,24 @@ def _read_text(path: str) -> str:
             return fh.read()
     except FileNotFoundError as e:
         raise ParseError(f"{path}: no such file") from e
+
+
+def _read_input_lines(path: str, parse) -> list:
+    """Non-blank lines of ``path`` as (1-based line number, ``parse(line)``).
+
+    A line that ``parse`` rejects with ValueError is a :class:`ParseError`
+    naming the file and the line.
+    """
+    out = []
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            out.append((lineno, parse(raw)))
+        except ValueError as e:
+            raise ParseError(f"{path}: line {lineno}: {e}") from e
+    return out
 
 
 def _write(path: str, text: str):
@@ -266,22 +286,21 @@ def cmd_search(args, config) -> int:
     a = make_array(cells, variant=args.variant, ts_params=ts)
     family = default_level_family(1 << table.bits_per_cell, p,
                                   args.variant, ts)
+    values = [v for _, v in _read_input_lines(args.inputs, int)]
+    stim = np.array([encode_integer(v, table, family) for v in values])
+    matched = search_many(a, stim.reshape(len(values), a.cols), p)
+    labels = table.labels()
     lines_out = ["value,matched_labels"]
-    text = _read_text(args.inputs)
-    from .array import search as array_search
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        value = int(raw)
-        stim = encode_integer(value, table, family)
-        result = array_search(a, np.array(stim), p)
-        labels = [table.rows[i][1] for i in result.matched_rows()]
-        lines_out.append(f"{value},{';'.join(labels)}")
+    lines_out += [f"{v},{';'.join(labels[r] for r in np.flatnonzero(row))}"
+                  for v, row in zip(values, matched)]
     csv = "\n".join(lines_out) + "\n"
     _write(_out_path(args, "search.csv"), csv)
     print(csv, end="")
     return 0
+
+
+def _parse_features(line: str) -> list[float]:
+    return [float(x) for x in line.split(",")]
 
 
 def cmd_classify(args, config) -> int:
@@ -289,23 +308,28 @@ def cmd_classify(args, config) -> int:
     _, tt = _load_compiled(args.table)
     if tt is None:
         raise DomainError("classify needs a compiled tree table")
-    text = _read_text(args.inputs)
-    rows = []
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        rows.append([float(x) for x in raw.split(",")])
+    ts = TsDeviceParams() if args.variant == "ts" else None
+    rows = _read_input_lines(args.inputs, _parse_features)
     lines = ["label"]
-    for x in rows:
+    failed = 0
+    for lineno, x in rows:
         try:
-            label = classify_many(tt, [x], p, variant=args.variant)[0]
-        except (DomainError, AmbiguousMatchError) as e:
-            label = f"ERROR:{e}"
-        lines.append(label)
+            lines.append(classify_many(tt, [x], p, variant=args.variant,
+                                       ts=ts)[0])
+            continue
+        except AmbiguousMatchError as e:
+            matched = " ".join(str(r) for r in e.matched_rows) or "none"
+            reason = (f"{len(e.matched_rows)} rows matched "
+                      f"(expected exactly 1; matched rows: {matched})")
+        except DomainError as e:
+            reason = str(e)
+        failed += 1
+        # labels.csv has a single column: no commas inside a label
+        lines.append(f"ERROR:line {lineno}: {reason}".replace(",", ";"))
     csv = "\n".join(lines) + "\n"
     _write(_out_path(args, "labels.csv"), csv)
     print(csv, end="")
+    print(f"classify: {failed} of {len(rows)} lines failed", file=sys.stderr)
     return 0
 
 

@@ -97,6 +97,8 @@ class TreeTable:
         if xs.ndim != 2 or xs.shape[1] != len(self.features):
             raise DomainError(
                 f"feature vectors must be n x {len(self.features)}")
+        if not np.all(np.isfinite(xs)):
+            raise DomainError("feature vector has a non-finite value")
         los = np.array([f.lo for f in self.features])
         his = np.array([f.hi for f in self.features])
         if np.any(xs < los) or np.any(xs > his):
@@ -219,16 +221,15 @@ def classify_many(tt: TreeTable, xs, p: DeviceParams,
         array = array_factory(cells)
     stim = tt.encode_many(xs)
     matched = search_many(array, stim, p)  # (n, rows)
-    labels = []
-    row_labels = tt.table.labels()
-    for i in range(matched.shape[0]):
+    bad = np.flatnonzero(matched.sum(axis=1) != 1)
+    if bad.size:
+        i = int(bad[0])
         idx = tuple(np.nonzero(matched[i])[0])
-        if len(idx) != 1:
-            raise AmbiguousMatchError(
-                f"input {i}: {len(idx)} rows matched (expected exactly 1)",
-                matched_rows=idx)
-        labels.append(row_labels[idx[0]])
-    return labels
+        raise AmbiguousMatchError(
+            f"input {i}: {len(idx)} rows matched (expected exactly 1)",
+            matched_rows=idx)
+    row_labels = tt.table.labels()
+    return [row_labels[r] for r in matched.argmax(axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------

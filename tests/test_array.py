@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from acamsim.array import (ArraySpec, MAX_WORD_LENGTH_CAP, Parasitics,
+from acamsim.array import (ArraySpec, MAX_WORD_LENGTH_CAP, PRUNE_FACTOR,
+                           Parasitics, _matched, _v_ml_at_sense,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
                            match_threshold_conductance, max_word_length,
@@ -300,3 +303,130 @@ def test_sweep_column_emits_band(params):
     assert max(matched_vs) == pytest.approx(0.42, abs=0.01)
     # v_ml is monotone non-increasing in v_dl crossing the band edges
     assert all(r == 0 for _, r, _, _ in samples)
+
+
+def test_non_finite_stimulus_rejected(params):
+    a = make_array([[reference_cell(params)] * 2])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            search_many(a, [[0.4, bad]], params)
+        with pytest.raises(DomainError):
+            search(a, [bad, 0.4], params)
+        with pytest.raises(DomainError):
+            row_conductances(a, [[0.4, bad]], params)
+
+
+# ---------------------------------------------------------------------------
+# search_many prunes rows without the full kernel: it must agree with it
+# ---------------------------------------------------------------------------
+
+def _full_kernel(a, stims, p):
+    return _matched(a, _v_ml_at_sense(a, row_conductances(a, stims, p)))
+
+
+def _random_cells(rng, p, variant, ts, rows, cols):
+    """Random stored intervals across the window, wildcards and points included."""
+    w = achievable_window(p, variant, ts)
+    cells = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            kind = rng.integers(4)
+            if kind == 0:
+                iv = w
+            elif kind == 1:
+                v = rng.uniform(w.lo, w.hi)
+                iv = VoltageInterval(v, v)
+            else:
+                lo, hi = np.sort(rng.uniform(w.lo, w.hi, size=2))
+                iv = VoltageInterval(lo, hi)
+            row.append(conductance_from_bounds(iv, p, variant, ts))
+        cells.append(row)
+    return cells
+
+
+def _differential_stimuli(rng, a, p):
+    """Dense uniform words, in-row words, and every stored edge +-20 mV at 1 mV.
+
+    Edge sweeps move one column of a row's midpoint word; they include the
+    exact edge, 0 V and 1 V.
+    """
+    bounds = [[bounds_from_conductance(c, p, a.variant, a.ts_params)
+               for c in row] for row in a.cells]
+    lo = np.array([[iv.lo for iv in row] for row in bounds])
+    hi = np.array([[iv.hi for iv in row] for row in bounds])
+    parts = [rng.uniform(0.0, 1.0, size=(500, a.cols))]
+    pick = rng.integers(a.rows, size=500)
+    parts.append(lo[pick] + rng.uniform(size=(500, a.cols)) * (hi - lo)[pick])
+    offsets = np.arange(-20, 21) * 1e-3
+    for r in range(a.rows):
+        mid = 0.5 * (lo[r] + hi[r])
+        for c in range(a.cols):
+            vals = np.concatenate([lo[r, c] + offsets, hi[r, c] + offsets,
+                                   [0.0, 1.0]])
+            block = np.tile(mid, (len(vals), 1))
+            block[:, c] = np.clip(vals, 0.0, 1.0)
+            parts.append(block)
+    return np.vstack(parts)
+
+
+def _assert_same_decisions(a, p, rng):
+    stims = _differential_stimuli(rng, a, p)
+    got = search_many(a, stims, p)
+    want = _full_kernel(a, stims, p)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want), f"{int((got != want).sum())} decisions differ"
+    return want
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_equals_full_kernel_up_to_max_word_length(self, params, ts_params,
+                                                      variant):
+        ts = ts_params if variant == "ts" else None
+        # a margin ratio of 1e4 caps the calibrated device at 166 columns
+        n_max = max_word_length(params, margin_ratio=1e4)
+        assert 64 < n_max < 1000
+        rng = np.random.default_rng(23)
+        matched = 0
+        for cols in (1, 2, 3, 4, 8, 16, 64, n_max):
+            rows = 6 if cols <= 16 else 2
+            cells = _random_cells(rng, params, variant, ts, rows, cols)
+            a = make_array(cells, variant=variant, ts_params=ts)
+            matched += int(_assert_same_decisions(a, params, rng).sum())
+        assert matched > 0
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_no_pruning_when_threshold_exceeds_leg_maximum(self, params,
+                                                           ts_params, variant):
+        ts = ts_params if variant == "ts" else None
+        rng = np.random.default_rng(29)
+        cells = _random_cells(rng, params, variant, ts, 4, 8)
+        # a short sense time raises G_th past what one fully-on leg conducts
+        a = make_array(cells, variant=variant, ts_params=ts, t_sense=2e-12)
+        leg_max = params.g_on if variant == "mosfet" else ts_params.g_ts_on
+        assert PRUNE_FACTOR * match_threshold_conductance(a) > leg_max
+        _assert_same_decisions(a, params, rng)
+
+    def test_zero_leakage_device(self, params):
+        p = params.with_(g_off=0.0)
+        rng = np.random.default_rng(31)
+        for cols in (1, 4, 32):
+            a = make_array(_random_cells(rng, p, "mosfet", None, 5, cols))
+            _assert_same_decisions(a, p, rng)
+
+    def test_memory_is_bounded_when_no_row_is_pruned(self, params):
+        # wildcard rows match every word in the window, so every row goes
+        # through the kernel; the full-kernel peak here is about 190 MiB
+        rows, cols, n = 16, 16, 8192
+        a = make_array([[wildcard_cell(params)] * cols] * rows)
+        w = achievable_window(params)
+        stims = np.random.default_rng(37).uniform(w.lo, w.hi, size=(n, cols))
+        tracemalloc.start()
+        try:
+            matched = search_many(a, stims, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matched.all()
+        assert peak < 48 * 2 ** 20

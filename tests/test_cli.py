@@ -186,6 +186,44 @@ class TestSearch:
         assert lines[3] == "30000,accept"
 
 
+    def test_batch_output_equals_scalar_search(self, tmp_path, rules_file):
+        import numpy as np
+        from acamsim.array import make_array, search
+        from acamsim.cell import calibrated_defaults
+        from acamsim.tables import (default_level_family, encode_integer,
+                                    lower_to_conductances, table_from_json_dict)
+
+        out = str(tmp_path / "qb")
+        main(["--out", out, "compile", rules_file, "--bits", "4"])
+        values = [385, 384, 58630, 58631, 0, 65535]
+        values += np.random.default_rng(2).integers(0, 1 << 16, 200).tolist()
+        (tmp_path / "values.txt").write_text("".join(f"{v}\n" for v in values))
+        assert main(["--out", out, "search", os.path.join(out, "table.json"),
+                     str(tmp_path / "values.txt")]) == 0
+        doc = json.loads((tmp_path / "qb" / "table.json").read_text())
+        table = table_from_json_dict(doc["table"])
+        p = calibrated_defaults()
+        a = make_array(lower_to_conductances(table, p))
+        family = default_level_family(16, p)
+        want = ["value,matched_labels"]
+        for v in values:
+            hit = search(a, np.array(encode_integer(v, table, family)), p)
+            want.append(f"{v},{';'.join(table.rows[i][1] for i in hit.matched_rows())}")
+        assert (tmp_path / "qb" / "search.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_non_integer_line_is_parse_error(self, tmp_path, rules_file,
+                                             capsys):
+        out = str(tmp_path / "qp")
+        main(["--out", out, "compile", rules_file, "--bits", "4"])
+        values = tmp_path / "values.txt"
+        values.write_text("385\n\nabc\n")
+        capsys.readouterr()
+        assert main(["--out", out, "search", os.path.join(out, "table.json"),
+                     str(values)]) == 2
+        assert "values.txt: line 3" in capsys.readouterr().err
+        assert not (tmp_path / "qp" / "search.csv").exists()
+
+
 class TestClassify:
     def test_labels_match_traversal(self, tmp_path, capsys):
         tree = tmp_path / "tree.json"
@@ -224,6 +262,57 @@ class TestClassify:
                      str(inputs)]) == 0
         lines = (tmp_path / "k2" / "labels.csv").read_text().splitlines()
         assert lines[1].startswith("ERROR:")
+
+    def test_non_numeric_field_is_parse_error(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TREE_DOC))
+        out = str(tmp_path / "kp")
+        main(["--out", out, "compile", str(tree)])
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n0.8,x\n")
+        capsys.readouterr()
+        assert main(["--out", out, "classify", os.path.join(out, "table.json"),
+                     str(inputs)]) == 2
+        assert "in.csv: line 2" in capsys.readouterr().err
+
+    def test_ts_variant_labels_lines(self, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TREE_DOC))
+        out = str(tmp_path / "kt")
+        assert main(["--out", out, "compile", str(tree), "--variant", "ts"]) == 0
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n0.8,0.1\n0.8,0.9\n")
+        assert main(["--out", out, "classify", os.path.join(out, "table.json"),
+                     str(inputs), "--variant", "ts"]) == 0
+        lines = (tmp_path / "kt" / "labels.csv").read_text().splitlines()
+        assert lines == ["label", "A", "B", "C"]
+
+    def test_failures_name_line_and_matched_rows(self, tmp_path, capsys):
+        # two rows both covering the whole window: every input matches both
+        from acamsim.cell import achievable_window, calibrated_defaults
+        w = achievable_window(calibrated_defaults())
+        word = {"kind": "intervals", "intervals": [{"lo_V": w.lo, "hi_V": w.hi}]}
+        doc = {"kind": "tree_table",
+               "window": {"lo_V": w.lo, "hi_V": w.hi},
+               "features": [{"name": "x", "lo": 0.0, "hi": 1.0}],
+               "table": {"width_bits": None, "bits_per_cell": None,
+                         "rows": [{"word": word, "label": "a"},
+                                  {"word": word, "label": "b"}]}}
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.5\n\n2.0\n0.25\n")
+        out = str(tmp_path / "kf")
+        capsys.readouterr()
+        assert main(["--out", out, "classify", str(table), str(inputs)]) == 0
+        lines = (tmp_path / "kf" / "labels.csv").read_text().splitlines()
+        assert lines == [
+            "label",
+            "ERROR:line 1: 2 rows matched (expected exactly 1; matched rows: 0 1)",
+            "ERROR:line 3: feature vector outside encoded domain",
+            "ERROR:line 4: 2 rows matched (expected exactly 1; matched rows: 0 1)",
+        ]
+        assert capsys.readouterr().err == "classify: 3 of 3 lines failed\n"
 
     def test_random_trees_match_traversal_oracle(self, tmp_path):
         import random

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from acamsim.errors import DomainError, MalformedTreeError
+from acamsim.cell import VoltageInterval, achievable_window
+from acamsim.errors import AmbiguousMatchError, DomainError, MalformedTreeError
+from acamsim.tables import CamTable, IntervalWord
 from acamsim.trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode,
-                           classify, classify_many, tree_from_json_dict,
-                           tree_to_cam, tree_to_json_dict)
+                           TreeTable, classify, classify_many,
+                           tree_from_json_dict, tree_to_cam, tree_to_json_dict)
 
 UNIT = FeatureSpec("x", 0.0, 1.0)
 
@@ -123,6 +125,38 @@ class TestClassify:
         tt = tree_to_cam(t, params)
         with pytest.raises(DomainError):
             classify(tt, [1.5], params)
+
+    def test_non_finite_feature_is_domain_error(self, params):
+        t = DecisionTree(features=(UNIT,),
+                         root=TreeNode(0, 0.5, TreeLeaf("a"), TreeLeaf("b")))
+        tt = tree_to_cam(t, params)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DomainError):
+                classify_many(tt, [[0.25], [bad]], params)
+            with pytest.raises(DomainError):
+                tt.encode_many([[bad]])
+
+    def test_ambiguous_match_reports_first_bad_input(self, params):
+        # hand-built rows: [0, 0.5] -> "a", a gap, then two rows overlapping
+        # on [0.8, 1] (fractions of the window)
+        w = achievable_window(params)
+
+        def span(f0, f1):
+            return IntervalWord((VoltageInterval(w.lo + f0 * w.width,
+                                                 w.lo + f1 * w.width),))
+
+        table = CamTable(rows=((span(0.0, 0.5), "a"), (span(0.6, 1.0), "b"),
+                               (span(0.8, 1.0), "c")))
+        tt = TreeTable(table=table, features=(UNIT,), window=w)
+        assert classify_many(tt, [[0.2], [0.7]], params) == ["a", "b"]
+        with pytest.raises(AmbiguousMatchError) as err:
+            classify_many(tt, [[0.2], [0.7], [0.9], [0.55]], params)
+        assert str(err.value) == "input 2: 2 rows matched (expected exactly 1)"
+        assert err.value.matched_rows == (1, 2)
+        with pytest.raises(AmbiguousMatchError) as err:
+            classify_many(tt, [[0.2], [0.55], [0.9]], params)
+        assert str(err.value) == "input 1: 0 rows matched (expected exactly 1)"
+        assert err.value.matched_rows == ()
 
     def test_custom_array_factory(self, params):
         from acamsim.array import make_array
