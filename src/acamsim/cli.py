@@ -3,9 +3,11 @@
 Subcommands: calibrate, compile, sweep, search, classify, cost. Outputs are
 machine-first (JSON/CSV) with text grids beside them; there is no plotting.
 Exit codes: 0 success, 2 parse/input error, 3 domain error, 4 convergence
-error. ``classify`` reports an input line it cannot classify as an ``ERROR:``
-label naming the line, counts such lines on stderr, and still exits 0. All
-commands are deterministic for a fixed --seed.
+error. ``search`` and ``classify`` lower their table once and answer the whole
+input file with one batched array search. ``classify`` reports an input line
+it cannot classify as an ``ERROR:`` label naming the line, counts such lines
+on stderr, and still exits 0. All commands are deterministic for a fixed
+--seed.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from .cost import (AreaParams, EnergyParams, baseline_comparison,
                    compare_range_implementations, energy_per_search,
                    REFERENCE_TCAM_CELLS)
 from .devices import DeviceParams, TsDeviceParams, program_memristor
-from .errors import (AcamError, AmbiguousMatchError, CalibrationError,
-                     DomainError, ParseError, ProgrammingError)
+from .errors import (AcamError, CalibrationError, DomainError, ParseError,
+                     ProgrammingError)
 from .tables import (CamTable, RangeRule, compile_rules, default_level_family,
                      encode_integer, family_from_json_dict,
                      family_to_json_dict, format_grid, lower_to_conductances,
                      parse_rules_jsonl, table_from_json_dict,
                      table_to_json_dict)
-from .trees import (TreeTable, classify_many, tree_from_json_dict,
-                    tree_to_cam)
+from .trees import TreeTable, _decode, tree_from_json_dict, tree_to_cam
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -133,10 +134,11 @@ def _maybe_program(cells, p, seed):
     return out
 
 
-def _table_cells(table: CamTable, p, args):
+def _table_cells(table: CamTable, p, args, family=None):
     variant = args.variant
     ts = TsDeviceParams() if variant == "ts" else None
-    cells = lower_to_conductances(table, p, variant=variant, ts=ts)
+    cells = lower_to_conductances(table, p, family=family, variant=variant,
+                                  ts=ts)
     if args.program_noise:
         cells = _maybe_program(cells, p, args.seed)
     return cells, ts
@@ -303,26 +305,49 @@ def _parse_features(line: str) -> list[float]:
     return [float(x) for x in line.split(",")]
 
 
+def _classify_rows(tt: TreeTable, a, feats: list, p) -> list:
+    """(label, None) or (None, failure reason) per feature row, from one
+    ``search_many`` call over the rows that can be encoded."""
+    nf = len(tt.features)
+    fits = np.array([len(x) == nf for x in feats], dtype=bool)
+    xs = np.array([x if ok else [0.0] * nf for x, ok in zip(feats, fits)])
+    xs = xs.reshape(len(feats), nf)
+    codes = tt._reject_codes(xs, fits)
+    encodable = np.flatnonzero(codes == 0).tolist()
+    labels, wrong = _decode(tt.table,
+                            search_many(a, tt.encode_many(xs[encodable]), p))
+    out = [(None, tt._reject_reason(c)) if c else None for c in codes.tolist()]
+    for j, i in enumerate(encodable):
+        if j not in wrong:
+            out[i] = (labels[j], None)
+            continue
+        matched = " ".join(str(r) for r in wrong[j]) or "none"
+        out[i] = (None, f"{len(wrong[j])} rows matched (expected exactly 1; "
+                        f"matched rows: {matched})")
+    return out
+
+
 def cmd_classify(args, config) -> int:
     p = _device_params(args, config)
     _, tt = _load_compiled(args.table)
     if tt is None:
         raise DomainError("classify needs a compiled tree table")
-    ts = TsDeviceParams() if args.variant == "ts" else None
     rows = _read_input_lines(args.inputs, _parse_features)
+    try:
+        cells, ts = _table_cells(tt.table, p, args, family=tt.family)
+    except DomainError as e:
+        # a table compiled for the other variant lies outside this variant's
+        # window: every line fails with the same reason
+        results = [(None, str(e))] * len(rows)
+    else:
+        a = make_array(cells, variant=args.variant, ts_params=ts)
+        results = _classify_rows(tt, a, [x for _, x in rows], p)
     lines = ["label"]
     failed = 0
-    for lineno, x in rows:
-        try:
-            lines.append(classify_many(tt, [x], p, variant=args.variant,
-                                       ts=ts)[0])
+    for (lineno, _), (label, reason) in zip(rows, results):
+        if reason is None:
+            lines.append(label)
             continue
-        except AmbiguousMatchError as e:
-            matched = " ".join(str(r) for r in e.matched_rows) or "none"
-            reason = (f"{len(e.matched_rows)} rows matched "
-                      f"(expected exactly 1; matched rows: {matched})")
-        except DomainError as e:
-            reason = str(e)
         failed += 1
         # labels.csv has a single column: no commas inside a label
         lines.append(f"ERROR:line {lineno}: {reason}".replace(",", ";"))

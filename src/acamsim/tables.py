@@ -170,20 +170,6 @@ class CamTable:
     def labels(self) -> tuple:
         return tuple(label for _, label in self.rows)
 
-    def matching_labels(self, value: int) -> list:
-        """Labels of all rows whose word covers the integer ``value``."""
-        out = []
-        for word, label in self.rows:
-            if isinstance(word, TernaryWord):
-                ok = word.matches(value)
-            elif isinstance(word, DigitWord):
-                ok = word.matches(value, self.bits_per_cell)
-            else:
-                raise DomainError("continuous tables do not match integers")
-            if ok:
-                out.append(label)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # range -> ternary (minimal prefix cover)

@@ -38,6 +38,13 @@ THRESHOLD_UNDERLAP_V = 4e-3
 # Additional gap down to the "<" row's upper edge, keeping the rows disjoint.
 BOUNDARY_GAP_V = 1e-3
 
+# Why a feature vector cannot be encoded, indexed by the code that
+# ``TreeTable._reject_codes`` gives it; code 0 means it can be.
+_REJECTS = (None,
+            "feature vectors must be n x {n}",
+            "feature vector has a non-finite value",
+            "feature vector outside encoded domain")
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -92,17 +99,42 @@ class TreeTable:
     window: VoltageInterval
     family: LevelFamily | None = None  # set in quantized mode
 
+    def _domain(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([f.lo for f in self.features]),
+                np.array([f.hi for f in self.features]))
+
+    def _reject_codes(self, xs: np.ndarray, fits=True) -> np.ndarray:
+        """Per row of ``xs`` (n x features), the ``_REJECTS`` index of the
+        first check the row fails, or 0 when it can be encoded.
+
+        ``fits`` is False for rows read with the wrong number of fields;
+        those fail for that reason whatever ``xs`` holds for them.
+        """
+        los, his = self._domain()
+        # one row per feature: numpy reduces a few long rows far faster than
+        # the many short ones of the n x features layout
+        xt = np.ascontiguousarray(xs.T)
+        finite = np.isfinite(xt).all(axis=0)
+        inside = ((xt >= los[:, None]) & (xt <= his[:, None])).all(axis=0)
+        return np.select([np.logical_not(fits), ~finite, ~inside], [1, 2, 3], 0)
+
+    def _reject_reason(self, code: int) -> str:
+        return _REJECTS[code].format(n=len(self.features))
+
     def encode_many(self, xs) -> np.ndarray:
+        """Data-line voltages of feature vectors ``xs`` (n x features).
+
+        Raises :class:`DomainError` naming why the first row that cannot be
+        encoded fails.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != len(self.features):
-            raise DomainError(
-                f"feature vectors must be n x {len(self.features)}")
-        if not np.all(np.isfinite(xs)):
-            raise DomainError("feature vector has a non-finite value")
-        los = np.array([f.lo for f in self.features])
-        his = np.array([f.hi for f in self.features])
-        if np.any(xs < los) or np.any(xs > his):
-            raise DomainError("feature vector outside encoded domain")
+            raise DomainError(self._reject_reason(1))
+        codes = self._reject_codes(xs)
+        bad = np.flatnonzero(codes)
+        if bad.size:
+            raise DomainError(self._reject_reason(codes[bad[0]]))
+        los, his = self._domain()
         frac = (xs - los) / (his - los)
         if self.family is None:
             return self.window.lo + frac * self.window.width
@@ -110,9 +142,6 @@ class TreeTable:
         idx = np.clip(np.floor(frac * n).astype(int), 0, n - 1)
         centers = np.array([self.family.digit_voltage(i) for i in range(n)])
         return centers[idx]
-
-    def encode(self, x) -> list[float]:
-        return list(self.encode_many(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def tree_to_cam(t: DecisionTree, p: DeviceParams,
@@ -219,17 +248,26 @@ def classify_many(tt: TreeTable, xs, p: DeviceParams,
         array = make_array(cells, variant=variant, ts_params=ts)
     else:
         array = array_factory(cells)
-    stim = tt.encode_many(xs)
-    matched = search_many(array, stim, p)  # (n, rows)
-    bad = np.flatnonzero(matched.sum(axis=1) != 1)
-    if bad.size:
-        i = int(bad[0])
-        idx = tuple(np.nonzero(matched[i])[0])
+    labels, wrong = _decode(tt.table, search_many(array, tt.encode_many(xs), p))
+    if wrong:
+        i, rows = next(iter(wrong.items()))
         raise AmbiguousMatchError(
-            f"input {i}: {len(idx)} rows matched (expected exactly 1)",
-            matched_rows=idx)
-    row_labels = tt.table.labels()
-    return [row_labels[r] for r in matched.argmax(axis=1).tolist()]
+            f"input {i}: {len(rows)} rows matched (expected exactly 1)",
+            matched_rows=rows)
+    return labels
+
+
+def _decode(table: CamTable, matched: np.ndarray):
+    """Labels from an (inputs, rows) match matrix.
+
+    Returns the label of each input's matching row, and a dict, in input
+    order, from every input that matched zero or several rows to the
+    indices of those rows (its entry in the label list is meaningless).
+    """
+    bad = np.flatnonzero(matched.sum(axis=1) != 1).tolist()
+    wrong = {i: tuple(np.flatnonzero(matched[i]).tolist()) for i in bad}
+    row_labels = table.labels()
+    return [row_labels[r] for r in matched.argmax(axis=1).tolist()], wrong
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from acamsim.devices import DeviceParams, TsDeviceParams
 from acamsim.tables import RangeRule, compile_rule, range_to_ternary
 from acamsim.trees import classify_many, tree_to_cam
 
+from test_cli import TREE_DOC
 from test_tables import greedy_prefix_count
 from test_trees import make_random_tree
 
@@ -318,6 +319,11 @@ def test_criterion_8_cli_determinism(tmp_path):
                                      "width_bits": 16, "label": "a"}) + "\n")
         anchors = tmp_path / "anchors.json"
         anchors.write_text(json.dumps(ANCHORS_JSON))
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TREE_DOC))
+        rows = tmp_path / "rows.csv"
+        rows.write_text("".join(f"{(k % 16 + 0.5) / 16},{(k // 16 + 0.5) / 16}\n"
+                                for k in range(256)) + "0.48,0.9\n2.0,0.5\n")
         blobs = []
         for run in ("a", "b"):
             out = tmp_path / run
@@ -330,9 +336,17 @@ def test_criterion_8_cli_determinism(tmp_path):
                          "--step", "2", "--program-noise"]) == 0
             assert main(["--seed", "3", "--out", str(out), "cost", "--rule",
                          "385,58630,16", "--tcam-baseline-cells", "336"]) == 0
+            assert main(["--seed", "3", "--out", str(out / "tree"), "compile",
+                         str(tree)]) == 0
+            for sub, noise in (("tree", []), ("noisy", ["--program-noise"])):
+                assert main(["--seed", "3", "--out", str(out / sub),
+                             "classify", str(out / "tree" / "table.json"),
+                             str(rows), *noise]) == 0
             blob = b""
             for name in ("device_params.json", "table.json", "table.txt",
-                         "sweep.csv", "cost.json", "cost.txt"):
+                         "sweep.csv", "cost.json", "cost.txt",
+                         "tree/table.json", "tree/labels.csv",
+                         "noisy/labels.csv"):
                 blob += (out / name).read_bytes()
             blobs.append(blob)
         assert blobs[0] == blobs[1]

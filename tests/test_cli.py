@@ -3,8 +3,14 @@ import os
 
 import pytest
 
+import acamsim.cli
+import acamsim.trees
+from acamsim.cell import calibrated_defaults
 from acamsim.cli import main
+from acamsim.devices import TsDeviceParams
+from acamsim.errors import AmbiguousMatchError, DomainError
 from acamsim.tables import range_to_ternary, RangeRule
+from acamsim.trees import classify_many, tree_from_json_dict, tree_to_cam
 
 ANCHORS = [
     {"g_m1_uS": 40, "g_m2_uS": 80, "lo_V": 0.37, "hi_V": 0.42},
@@ -21,6 +27,51 @@ TREE_DOC = {
              "right": {"feature": 1, "threshold": 0.25,
                        "left": {"label": "B"}, "right": {"label": "C"}}},
 }
+
+
+# Lattice points, the dead zones below the x split at 0.5 and at the domain
+# edges (no row matches there), and every kind of per-line failure.
+MIXED_LINES = (
+    [f"{(i + 0.5) / 16!r},{(j + 0.5) / 16!r}" for i in range(16)
+     for j in range(0, 16, 5)]
+    + [f"{0.47 + k * 1e-3!r},0.9" for k in range(31)]
+    + ["0.0,0.1", "0.0005,0.6", "0.9995,0.9", "1.0,1.0", "",
+       "1.5,0.2", "-0.1,0.5", "0.5,1.25", "   ",
+       "0.5", "0.1,0.2,0.3", "nan,0.5", "0.5,inf", "-inf,2.0", "",
+       "0.2,0.9", "0.8,0.1"])
+
+
+def compile_tree(tmp_path, name, *flags) -> str:
+    """Compile ``TREE_DOC`` into ``tmp_path/name`` and return its table."""
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(TREE_DOC))
+    out = str(tmp_path / name)
+    assert main(["--out", out, "compile", str(tree), *flags]) == 0
+    return os.path.join(out, "table.json")
+
+
+def per_line_labels(tt, text, p, variant):
+    """labels.csv and the failure count from one ``classify_many`` call per
+    line, with errors written as the per-line CLI wrote them."""
+    ts = TsDeviceParams() if variant == "ts" else None
+    lines, failed = ["label"], 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        x = [float(v) for v in raw.split(",")]
+        try:
+            lines.append(classify_many(tt, [x], p, variant=variant, ts=ts)[0])
+            continue
+        except AmbiguousMatchError as e:
+            matched = " ".join(str(r) for r in e.matched_rows) or "none"
+            reason = (f"{len(e.matched_rows)} rows matched "
+                      f"(expected exactly 1; matched rows: {matched})")
+        except DomainError as e:
+            reason = str(e)
+        failed += 1
+        lines.append(f"ERROR:line {lineno}: {reason}".replace(",", ";"))
+    return lines, failed
 
 
 @pytest.fixture
@@ -337,6 +388,91 @@ class TestClassify:
             got = (tmp_path / f"o{k}" / "labels.csv").read_text().splitlines()[1:]
             want = [tree.classify(x) for x in xs]
             assert got == want
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_batch_labels_equal_per_line_classification(self, tmp_path,
+                                                        capsys, variant):
+        table = compile_tree(tmp_path, "kd", "--variant", variant)
+        text = "\n".join(MIXED_LINES) + "\n"
+        inputs = tmp_path / "mixed.csv"
+        inputs.write_text(text)
+        p = calibrated_defaults()
+        ts = TsDeviceParams() if variant == "ts" else None
+        tt = tree_to_cam(tree_from_json_dict(TREE_DOC), p, variant=variant,
+                         ts=ts)
+        want, failed = per_line_labels(tt, text, p, variant)
+        # the file reaches every kind of per-line failure
+        for reason in ("0 rows matched", "outside encoded domain",
+                       "non-finite value", "must be n x 2"):
+            assert any(reason in line for line in want), reason
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "kd"), "classify", table,
+                     str(inputs), "--variant", variant]) == 0
+        got = (tmp_path / "kd" / "labels.csv").read_text().splitlines()
+        assert got == want
+        n = sum(1 for line in MIXED_LINES if line.strip())
+        assert capsys.readouterr().err == (
+            f"classify: {failed} of {n} lines failed\n")
+
+    def test_table_of_other_variant_fails_every_line(self, tmp_path, capsys):
+        table = compile_tree(tmp_path, "kv", "--variant", "ts")
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n\n0.3\n")
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "kv"), "classify", table,
+                     str(inputs)]) == 0
+        lines = (tmp_path / "kv" / "labels.csv").read_text().splitlines()
+        assert [line.split(":")[:2] for line in lines[1:]] == [
+            ["ERROR", "line 1"], ["ERROR", "line 3"]]
+        assert lines[1][len("ERROR:line 1"):] == lines[2][len("ERROR:line 3"):]
+        assert "outside" in lines[1]
+        assert capsys.readouterr().err == "classify: 2 of 2 lines failed\n"
+
+    def test_lowers_and_searches_once_per_file(self, tmp_path, monkeypatch):
+        table = compile_tree(tmp_path, "kl")
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("".join(f"{(k % 16 + 0.5) / 16},{(k // 16 + 0.5) / 16}\n"
+                                  for k in range(200)))
+        calls = {"lower_to_conductances": 0, "search_many": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (acamsim.cli, acamsim.trees):
+            for name in calls:
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+        assert main(["--out", str(tmp_path / "kl"), "classify", table,
+                     str(inputs)]) == 0
+        assert calls == {"lower_to_conductances": 1, "search_many": 1}
+
+    def test_program_noise_programs_every_cell_once(self, tmp_path,
+                                                    monkeypatch):
+        table = compile_tree(tmp_path, "kn")
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n0.8,0.1\n0.8,0.9\n" * 10)
+        calls = []
+        program = acamsim.cli.program_memristor
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return program(*args, **kwargs)
+
+        monkeypatch.setattr(acamsim.cli, "program_memristor", counted)
+        argv = ["--seed", "4", "--out", str(tmp_path / "kn"), "classify",
+                table, str(inputs)]
+        assert main(argv) == 0
+        assert calls == []
+        rows, cols = 3, 2
+        for invocation in (1, 2):
+            assert main(argv + ["--program-noise"]) == 0
+            assert len(calls) == invocation * 2 * rows * cols
+        assert {seed[0] for _, seed, *_ in calls} == {4}
+        labels = (tmp_path / "kn" / "labels.csv").read_text().splitlines()
+        assert labels == ["label"] + ["A", "B", "C"] * 10
 
     def test_empty_inputs_give_empty_output(self, tmp_path):
         tree = tmp_path / "tree.json"
