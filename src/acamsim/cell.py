@@ -72,16 +72,6 @@ class LevelCode:
             raise DomainError(f"level index {self.index} outside [0, {self.n_levels})")
 
 
-# Default family used for discrete-level demonstrations: eight levels over
-# [0.2, 0.6] V with 10 mV guard bands.
-DEFAULT_LEVEL_WINDOW = VoltageInterval(0.2, 0.6)
-DEFAULT_GUARD_V = 0.010
-
-
-def default_demo_levels(n_levels: int = 8) -> "list[LevelCode]":
-    return quantize_levels(n_levels, DEFAULT_LEVEL_WINDOW, DEFAULT_GUARD_V)
-
-
 # ---------------------------------------------------------------------------
 # conductance -> bounds
 # ---------------------------------------------------------------------------
@@ -169,28 +159,47 @@ def bounds_from_conductance(c: CellConfig, p: DeviceParams,
     return VoltageInterval(lo, hi)
 
 
+def _conductance_targets(lo, hi, p: DeviceParams, variant: str,
+                         ts: TsDeviceParams | None, where=lambda k: ""):
+    """Conductance targets ``(g_m1, g_m2)`` storing ``[lo, hi]``, elementwise.
+
+    ``lo`` and ``hi`` are arrays of one shape (one entry per cell). Uses the
+    divider equation in closed form: the midpoint sits at the crossing level
+    when ``g = G_T(v) * v_cross / (v_slhi - v_cross)``. Raises
+    :class:`OutOfWindowError` for the first cell in C order whose target
+    falls outside the programmable window, its lower bound checked before
+    its upper; the message starts with ``where(flat index of that cell)``.
+    """
+    v_lo_cross, v_hi_cross = _crossing_voltages(p, variant, ts)
+    g1 = transistor_conductance(lo, p) * v_lo_cross / (p.v_slhi - v_lo_cross)
+    g2 = transistor_conductance(hi, p) * v_hi_cross / (p.v_slhi - v_hi_cross)
+    ok1 = (p.g_min <= g1) & (g1 <= p.g_max)
+    bad = ~(ok1 & (p.g_min <= g2) & (g2 <= p.g_max))
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        if not ok1.flat[k]:
+            raise OutOfWindowError(
+                f"{where(k)}lower bound {lo.flat[k]:.4f} V needs "
+                f"g_m1={g1.flat[k]:.3e} S outside [{p.g_min:.3e}, {p.g_max:.3e}] S",
+                bound="lo")
+        raise OutOfWindowError(
+            f"{where(k)}upper bound {hi.flat[k]:.4f} V needs "
+            f"g_m2={g2.flat[k]:.3e} S outside [{p.g_min:.3e}, {p.g_max:.3e}] S",
+            bound="hi")
+    return g1, g2
+
+
 def conductance_from_bounds(iv: VoltageInterval, p: DeviceParams,
                             variant: str = "mosfet",
                             ts: TsDeviceParams | None = None) -> CellConfig:
     """Inverse mapping: conductance targets that store the interval ``iv``.
 
-    Uses the divider equation in closed form: the midpoint sits at the
-    crossing level when ``g = G_T(v) * v_cross / (v_slhi - v_cross)``.
     Raises :class:`OutOfWindowError` naming the bound whose target falls
-    outside the programmable window.
+    outside the programmable window (see :func:`_conductance_targets`).
     """
-    v_lo_cross, v_hi_cross = _crossing_voltages(p, variant, ts)
-    g1 = transistor_conductance(iv.lo, p) * v_lo_cross / (p.v_slhi - v_lo_cross)
-    g2 = transistor_conductance(iv.hi, p) * v_hi_cross / (p.v_slhi - v_hi_cross)
-    if not (p.g_min <= g1 <= p.g_max):
-        raise OutOfWindowError(
-            f"lower bound {iv.lo:.4f} V needs g_m1={g1:.3e} S outside "
-            f"[{p.g_min:.3e}, {p.g_max:.3e}] S", bound="lo")
-    if not (p.g_min <= g2 <= p.g_max):
-        raise OutOfWindowError(
-            f"upper bound {iv.hi:.4f} V needs g_m2={g2:.3e} S outside "
-            f"[{p.g_min:.3e}, {p.g_max:.3e}] S", bound="hi")
-    return CellConfig(g_m1=g1, g_m2=g2)
+    g1, g2 = _conductance_targets(np.array([iv.lo]), np.array([iv.hi]), p,
+                                  variant, ts)
+    return CellConfig(g_m1=float(g1[0]), g_m2=float(g2[0]))
 
 
 def wildcard_cell(p: DeviceParams) -> CellConfig:

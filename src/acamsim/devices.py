@@ -352,22 +352,26 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
 
     Each pulse lands at ``target + N(0, sigma)`` clipped to the conductance
     window; the loop stops once the read-back error is within ``tol``.
-    Deterministic for a given ``seed``. Raises :class:`ProgrammingError`
-    carrying the best conductance reached if ``max_iters`` pulses are not
-    enough.
+    Deterministic for a given ``seed``. Raises :class:`DomainError` for a
+    non-finite or non-positive ``tol`` and a non-finite or negative
+    ``sigma``, and :class:`ProgrammingError` carrying the best conductance
+    reached if ``max_iters`` pulses are not enough.
     """
     if not (p.g_min <= target <= p.g_max):
         raise DomainError(
             f"target {target:.3e} S outside window [{p.g_min:.3e}, {p.g_max:.3e}] S")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not (0 < tol < math.inf):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if not (0 <= sigma < math.inf):
+        raise DomainError(f"sigma must be non-negative and finite, got {sigma}")
     if max_iters < 1:
         raise DomainError("max_iters must be at least 1")
 
     rng = np.random.default_rng(seed)
     best = None
     for i in range(1, max_iters + 1):
-        g = float(np.clip(target + rng.normal(0.0, sigma), p.g_min, p.g_max))
+        # min/max on Python floats: np.clip on a scalar costs several us a pulse
+        g = float(min(max(target + rng.normal(0.0, sigma), p.g_min), p.g_max))
         if best is None or abs(g - target) < abs(best - target):
             best = g
         if abs(g - target) <= tol:
@@ -375,31 +379,3 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
     raise ProgrammingError(
         f"no convergence to {target:.3e} S within {max_iters} pulses "
         f"(best {best:.3e} S)", best_g=best, iterations=max_iters)
-
-
-# ---------------------------------------------------------------------------
-# write-operation protocol descriptor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WriteStep:
-    """Line voltages for one array write/read operation (symbolic levels)."""
-
-    operation: str
-    sl_hi: str
-    sl_lo: str
-    dl1: str
-    dl2: str
-
-
-# Set/reset select one memristor through its DL (compliance set by the gate
-# level); reads bias SL_hi and measure the selected device. Only the resulting
-# conductance is simulated; switching transients are not.
-WRITE_PROTOCOL = (
-    WriteStep("set_m1", sl_hi="V_SET", sl_lo="0", dl1="V_GATE_SET", dl2="0"),
-    WriteStep("reset_m1", sl_hi="0", sl_lo="V_RESET", dl1="V_DD", dl2="0"),
-    WriteStep("set_m2", sl_hi="V_SET", sl_lo="0", dl1="0", dl2="V_GATE_SET"),
-    WriteStep("reset_m2", sl_hi="0", sl_lo="V_RESET", dl1="0", dl2="V_DD"),
-    WriteStep("read_m1", sl_hi="V_READ", sl_lo="0", dl1="V_DD", dl2="0"),
-    WriteStep("read_m2", sl_hi="V_READ", sl_lo="0", dl1="0", dl2="V_DD"),
-)

@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cell import (CellConfig, DeviceParams, LevelCode, VoltageInterval,
-                   achievable_window, conductance_from_bounds, quantize_levels,
+                   _conductance_targets, achievable_window, quantize_levels,
                    v_of_level)
 from .devices import TsDeviceParams
-from .errors import DomainError, OutOfWindowError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -350,35 +352,36 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
 
     Digit cells go through the level family (exact -> that level's interval,
     wildcard -> the full window, {n-m} -> the union of levels n..m stored as
-    one interval); interval rows are taken as-is. A cell whose interval needs
-    a conductance outside the window raises, naming the offending digit.
+    one interval); interval rows are taken as-is. The conductance targets of
+    the whole table come from one array evaluation of the divider equation.
+    A cell whose interval needs a conductance outside the window raises,
+    naming the first offending row and digit.
     """
     if t.bits_per_cell is not None:
         if family is None:
             family = default_level_family(1 << t.bits_per_cell, p, variant, ts)
-    matrix: list[list[CellConfig]] = []
-    for ri, (word, _) in enumerate(t.rows):
-        row: list[CellConfig] = []
+    specs: list[VoltageInterval] = []
+    for word, _ in t.rows:
         if isinstance(word, IntervalWord):
-            specs = word.intervals
+            specs.extend(word.intervals)
         elif isinstance(word, DigitWord):
-            specs = [family.digit_interval(d) for d in word.digits]
+            specs.extend(family.digit_interval(d) for d in word.digits)
         elif isinstance(word, TernaryWord):
             if family is None:
                 family = default_level_family(2, p, variant, ts)
-            specs = [family.window if ch == "X"
-                     else family.levels[int(ch)].interval
-                     for ch in word.symbols]
+            specs.extend(family.window if ch == "X"
+                         else family.levels[int(ch)].interval
+                         for ch in word.symbols)
         else:
             raise DomainError(f"cannot lower row type {type(word).__name__}")
-        for ci, iv in enumerate(specs):
-            try:
-                row.append(conductance_from_bounds(iv, p, variant, ts))
-            except OutOfWindowError as e:
-                raise OutOfWindowError(
-                    f"row {ri} digit {ci}: {e}", bound=e.bound) from e
-        matrix.append(row)
-    return matrix
+    n_cols = t.n_cols
+    lo = np.array([iv.lo for iv in specs], dtype=float)
+    hi = np.array([iv.hi for iv in specs], dtype=float)
+    g1, g2 = _conductance_targets(
+        lo, hi, p, variant, ts,
+        where=lambda k: f"row {k // n_cols} digit {k % n_cols}: ")
+    cells = [CellConfig(a, b) for a, b in zip(g1.tolist(), g2.tolist())]
+    return [cells[r * n_cols:(r + 1) * n_cols] for r in range(t.n_rows)]
 
 
 def encode_integer(value: int, t: CamTable, family: LevelFamily) -> list[float]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from acamsim.cell import (CellConfig, REFERENCE_ANCHORS, VoltageInterval,
                           conductance_from_bounds, encode_level,
                           lower_bound_voltage, quantize_levels,
                           upper_bound_voltage, v_of_level)
+from acamsim.devices import transistor_conductance
 from acamsim.errors import (CalibrationError, DomainError,
                             InconsistentCellError, OutOfWindowError,
                             PackingError)
@@ -106,6 +109,27 @@ class TestConductanceFromBounds:
                 params, variant, ts)
             assert back.lo == pytest.approx(v, abs=1e-3)
             assert back.hi == pytest.approx(v, abs=1e-3)
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_equals_scalar_divider_equation(self, params, ts_params, variant):
+        # the array evaluation behind the whole-table lowering must give
+        # the same bits as the divider equation on Python floats
+        ts = ts_params if variant == "ts" else None
+        p = params
+        if variant == "mosfet":
+            v_lo, v_hi = p.v_th_ml, p.v_th_inv
+        else:
+            v_lo = ts.v_threshold
+            v_hi = p.v_th_inv - (ts.v_threshold - p.v_th_inv) / p.inv_gain
+        w = achievable_window(p, variant, ts)
+        grid = np.linspace(w.lo, w.hi, 51).tolist()
+        for lo, hi in itertools.combinations_with_replacement(grid, 2):
+            expect = CellConfig(
+                transistor_conductance(lo, p) * v_lo / (p.v_slhi - v_lo),
+                transistor_conductance(hi, p) * v_hi / (p.v_slhi - v_hi))
+            got = conductance_from_bounds(VoltageInterval(lo, hi), p, variant, ts)
+            assert got == expect
+            assert type(got.g_m1) is float and type(got.g_m2) is float
 
     def test_unachievable_interval_names_bound(self, params):
         with pytest.raises(OutOfWindowError) as exc:

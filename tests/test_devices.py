@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acamsim.devices import (DeviceParams, TsDeviceParams,
-                             WRITE_PROTOCOL, divider_gate_voltage,
-                             program_memristor, pulldown_conductance,
-                             transistor_conductance,
+                             divider_gate_voltage, program_memristor,
+                             pulldown_conductance, transistor_conductance,
                              transistor_conductance_inverse, ts_conductance)
 from acamsim.errors import DomainError, ProgrammingError
 
@@ -217,6 +216,57 @@ class TestProgramMemristor:
         assert params.g_min <= exc.value.best_g <= params.g_max
 
 
+def clip_reference_program(target, seed, tol, max_iters, p, sigma=2e-6):
+    """Program-and-verify loop clamping each pulse with ``np.clip``."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for i in range(1, max_iters + 1):
+        g = float(np.clip(target + rng.normal(0.0, sigma), p.g_min, p.g_max))
+        if best is None or abs(g - target) < abs(best - target):
+            best = g
+        if abs(g - target) <= tol:
+            return g, i
+    raise ProgrammingError("", best_g=best, iterations=max_iters)
+
+
+class TestProgramMemristorRegression:
+    def test_equals_clip_reference(self, params):
+        rng = np.random.default_rng(2024)
+        targets = [params.g_min, params.g_max, params.g_min + 1e-7,
+                   params.g_max - 1e-7]
+        targets += rng.uniform(params.g_min, params.g_max, 1200).tolist()
+        clamped = 0
+        for k, target in enumerate(targets):
+            seed = (k, int(rng.integers(1 << 31)))
+            r = program_memristor(target, seed, 1e-6, 100, params)
+            assert (r.state.g, r.iterations) == clip_reference_program(
+                target, seed, 1e-6, 100, params)
+            assert type(r.state.g) is float
+            clamped += r.state.g in (params.g_min, params.g_max)
+        assert clamped > 0  # the clamp binds at the window edges
+
+    def test_nonconvergence_equals_clip_reference(self, params):
+        for target in (params.g_min + 1e-9, 40e-6, params.g_max - 1e-9):
+            with pytest.raises(ProgrammingError) as got:
+                program_memristor(target, 7, 1e-12, 3, params, sigma=20e-6)
+            with pytest.raises(ProgrammingError) as ref:
+                clip_reference_program(target, 7, 1e-12, 3, params, sigma=20e-6)
+            assert got.value.best_g == ref.value.best_g
+            assert type(got.value.best_g) is float
+            assert got.value.iterations == 3
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(sigma=-1e-6), dict(sigma=math.nan), dict(sigma=math.inf),
+        dict(tol=math.nan), dict(tol=math.inf), dict(tol=0.0),
+    ])
+    def test_bad_arguments_rejected_before_any_pulse(self, params, kwargs,
+                                                     monkeypatch):
+        args = dict(tol=1e-6, sigma=2e-6) | kwargs
+        monkeypatch.setattr(np.random, "default_rng", None)  # no pulse drawn
+        with pytest.raises(DomainError):
+            program_memristor(40e-6, 0, max_iters=10, p=params, **args)
+
+
 class TestDeviceParams:
     def test_json_round_trip(self, params):
         doc = params.to_json_dict()
@@ -245,15 +295,3 @@ class TestDeviceParams:
         with pytest.raises(DomainError):
             DeviceParams(**base)
 
-
-def test_write_protocol_covers_each_device():
-    ops = {step.operation for step in WRITE_PROTOCOL}
-    assert ops == {"set_m1", "reset_m1", "set_m2", "reset_m2",
-                   "read_m1", "read_m2"}
-    for step in WRITE_PROTOCOL:
-        # exactly one DL selects the device being touched
-        assert (step.dl1 == "0") != (step.dl2 == "0")
-        if step.operation.startswith("reset"):
-            assert step.sl_lo == "V_RESET" and step.sl_hi == "0"
-        else:
-            assert step.sl_lo == "0"

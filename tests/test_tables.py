@@ -1,17 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acamsim.array import make_array, search, search_many
-from acamsim.cell import VoltageInterval, bounds_from_conductance
+from acamsim.cell import (VoltageInterval, bounds_from_conductance,
+                          conductance_from_bounds)
 from acamsim.errors import DomainError, OutOfWindowError
-from acamsim.tables import (CamTable, DigitSpec, DigitWord, LevelFamily,
-                            RangeRule, TernaryWord, compile_rule,
+from acamsim.tables import (CamTable, DigitSpec, DigitWord, IntervalWord,
+                            LevelFamily, RangeRule, TernaryWord, compile_rule,
                             compile_rules, default_level_family,
                             encode_integer, format_grid,
                             lower_to_conductances, parse_rules_jsonl,
                             range_to_digits, range_to_ternary,
                             table_from_json_dict, table_to_json_dict)
+from acamsim.trees import tree_to_cam
+
+from test_trees import make_random_tree
 
 REFERENCE_RULE = RangeRule(385, 58630, 16, "accept")
 
@@ -223,6 +229,110 @@ class TestLowering:
         expect = (vals >= 385) & (vals <= 58630)
         assert np.array_equal(got, expect)
         assert matched.sum(axis=1).max() <= 1
+
+
+def per_cell_lowering(t, p, family, variant="mosfet", ts=None):
+    """Reference lowering: one ``conductance_from_bounds`` call per cell."""
+    if family is None:
+        family = default_level_family(1 << (t.bits_per_cell or 1), p, variant, ts)
+    matrix = []
+    for ri, (word, _) in enumerate(t.rows):
+        if isinstance(word, IntervalWord):
+            specs = word.intervals
+        elif isinstance(word, DigitWord):
+            specs = [family.digit_interval(d) for d in word.digits]
+        else:
+            specs = [family.window if ch == "X" else family.levels[int(ch)].interval
+                     for ch in word.symbols]
+        row = []
+        for ci, iv in enumerate(specs):
+            try:
+                row.append(conductance_from_bounds(iv, p, variant, ts))
+            except OutOfWindowError as e:
+                raise OutOfWindowError(f"row {ri} digit {ci}: {e}",
+                                       bound=e.bound) from e
+        matrix.append(row)
+    return matrix
+
+
+def raised(fn, *args, **kwargs):
+    with pytest.raises(OutOfWindowError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value), exc.value.bound
+
+
+class TestVectorizedLowering:
+    """The whole-table lowering equals the per-cell reference bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_rule_tables_equal_per_cell_reference(self, params, ts_params, variant):
+        ts = ts_params if variant == "ts" else None
+        rng = random.Random(3)
+        checked = 0
+        for trial in range(40):
+            rules = [RangeRule(*sorted(rng.randrange(1 << 12) for _ in range(2)), 12)
+                     for _ in range(rng.randint(1, 6))]
+            bits = (None, 1, 2, 3, 4)[trial % 5]
+            t = compile_rules(rules, bits)
+            got = lower_to_conductances(t, params, variant=variant, ts=ts)
+            assert got == per_cell_lowering(t, params, None, variant, ts)
+            assert all(type(c.g_m1) is float and type(c.g_m2) is float
+                       for row in got for c in row)
+            checked += t.n_cells
+        assert checked > 1000
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    @pytest.mark.parametrize("bits", [None, 2])
+    def test_tree_tables_equal_per_cell_reference(self, params, ts_params,
+                                                  variant, bits):
+        ts = ts_params if variant == "ts" else None
+        rng = random.Random(11)
+        for _ in range(5):
+            tt = tree_to_cam(make_random_tree(rng, 3, 5, grid=4 if bits else 16),
+                             params, variant, ts, bits_per_cell=bits)
+            got = lower_to_conductances(tt.table, params, tt.family, variant, ts)
+            assert got == per_cell_lowering(tt.table, params, tt.family, variant, ts)
+
+    def test_explicit_family_and_wildcards(self, params):
+        from acamsim.cell import quantize_levels
+        narrow = VoltageInterval(0.33, 0.45)
+        fam = LevelFamily(levels=tuple(quantize_levels(4, narrow, 0.004)),
+                          window=narrow)
+        word = DigitWord((DigitSpec.wildcard(4), DigitSpec.exact(1, 4),
+                          DigitSpec.subrange(1, 3, 4), DigitSpec.wildcard(4)))
+        t = CamTable(rows=((word, "a"), (word, "b")), width_bits=8,
+                     bits_per_cell=2)
+        got = lower_to_conductances(t, params, fam)
+        assert got == per_cell_lowering(t, params, fam)
+        assert got[0][0] == conductance_from_bounds(narrow, params)
+        assert got != lower_to_conductances(t, params)  # default family differs
+
+    def test_empty_table(self, params):
+        assert lower_to_conductances(CamTable(rows=()), params) == []
+        t = CamTable(rows=(), width_bits=8, bits_per_cell=2)
+        assert lower_to_conductances(t, params) == []
+
+    def test_first_bad_cell_in_row_major_order(self, params):
+        ok = VoltageInterval(0.36, 0.42)
+        both = VoltageInterval(0.02, 0.98)   # both targets outside the window
+        lo_only = VoltageInterval(0.02, 0.42)
+        hi_only = VoltageInterval(0.36, 0.98)
+        assert raised(conductance_from_bounds, both, params)[1] == "lo"
+        assert raised(conductance_from_bounds, hi_only, params)[1] == "hi"
+        cases = [
+            # (rows, expected prefix, expected bound)
+            ([(ok, ok, ok), (ok, both, hi_only), (lo_only, ok, ok)],
+             "row 1 digit 1: lower bound", "lo"),
+            ([(ok, ok, ok), (hi_only, lo_only, ok), (both, both, both)],
+             "row 1 digit 0: upper bound", "hi"),
+            ([(ok, ok, ok), (ok, ok, ok), (ok, ok, lo_only)],
+             "row 2 digit 2: lower bound", "lo"),
+        ]
+        for rows, prefix, bound in cases:
+            t = CamTable(rows=tuple((IntervalWord(r), "") for r in rows))
+            got = raised(lower_to_conductances, t, params)
+            assert got == raised(per_cell_lowering, t, params, None)
+            assert got[0].startswith(prefix) and got[1] == bound
 
 
 class TestSerialization:
