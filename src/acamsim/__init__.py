@@ -11,13 +11,12 @@ from .cost import (AreaParams, CostReport, EnergyParams, baseline_comparison,
                    compare_range_implementations, energy_per_search)
 from .devices import (DeviceParams, MemristorState, TsDeviceParams,
                       divider_gate_voltage, program_memristor,
-                      pulldown_conductance, transistor_conductance,
-                      ts_conductance)
+                      pulldown_conductance, transistor_conductance)
 from .errors import AcamError
 from .tables import (CamTable, DigitSpec, DigitWord, RangeRule, TernaryWord,
                      compile_rule, compile_rules, lower_to_conductances,
                      range_to_digits, range_to_ternary)
 from .trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode, TreeTable,
-                    classify, classify_many, tree_to_cam)
+                    classify_many, tree_to_cam)
 
 __version__ = "0.1.0"

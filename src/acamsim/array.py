@@ -46,17 +46,13 @@ CHUNK_ELEMENTS = 2 ** 18
 
 @dataclass(frozen=True)
 class Parasitics:
-    """Per-cell wire parasitics (ohms, farads) extracted from layout."""
+    """Per-cell match-line parasitics (ohms, farads) extracted from layout."""
 
     r_ml: float = 1.91
-    r_dl: float = 2.27
-    r_sl: float = 0.85
     c_ml: float = 0.227e-15
-    c_dl: float = 0.324e-15
-    c_sl: float = 0.454e-15
 
     def __post_init__(self):
-        for name in ("r_ml", "r_dl", "r_sl", "c_ml", "c_dl", "c_sl"):
+        for name in ("r_ml", "c_ml"):
             if getattr(self, name) < 0:
                 raise DomainError(f"parasitic {name} must be non-negative")
 
@@ -80,13 +76,17 @@ class SearchResult:
         return tuple(i for i, r in enumerate(self.rows) if r.matched)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no value equality: by identity
 class ArraySpec:
-    """Geometry, cell contents and sensing configuration of one CAM array."""
+    """Stored conductances and sensing configuration of one CAM array.
 
-    rows: int
-    cols: int
-    cells: tuple  # rows x cols of CellConfig
+    ``g1`` and ``g2`` are the rows x cols memristor conductances of the
+    lower- and upper-bound legs (S). They are programmed once: the spec
+    keeps read-only copies, and every search reads them.
+    """
+
+    g1: np.ndarray
+    g2: np.ndarray
     parasitics: Parasitics = Parasitics()
     v_precharge: float = 0.8
     t_sense: float = 100e-12
@@ -96,11 +96,17 @@ class ArraySpec:
     c_sense: float = 1e-15  # fixed sense-node capacitance (F)
 
     def __post_init__(self):
+        for name in ("g1", "g2"):
+            try:
+                g = np.array(getattr(self, name), dtype=float)
+            except ValueError as e:
+                raise DomainError(f"{name} must be a rows x cols array") from e
+            g.setflags(write=False)
+            object.__setattr__(self, name, g)
+        if self.g1.ndim != 2 or self.g1.shape != self.g2.shape:
+            raise DomainError("g1 and g2 must be rows x cols arrays of one shape")
         if self.rows < 1 or self.cols < 1:
             raise DomainError("array needs at least 1 row and 1 column")
-        if len(self.cells) != self.rows or any(len(r) != self.cols for r in self.cells):
-            raise DomainError(
-                f"cells matrix must be {self.rows}x{self.cols}")
         if not (0.0 < self.sense_frac < 1.0):
             raise DomainError("sense_frac must lie in (0, 1)")
         if self.variant not in ("mosfet", "ts"):
@@ -111,71 +117,28 @@ class ArraySpec:
             raise DomainError("t_sense and v_precharge must be positive")
 
     @property
+    def rows(self) -> int:
+        return self.g1.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.g1.shape[1]
+
+    @property
     def c_ml_total(self) -> float:
         return self.cols * self.parasitics.c_ml + self.c_sense
 
     def conductance_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        g1 = np.array([[c.g_m1 for c in row] for row in self.cells])
-        g2 = np.array([[c.g_m2 for c in row] for row in self.cells])
-        return g1, g2
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "variant": self.variant,
-            "v_precharge_V": self.v_precharge,
-            "t_sense_ps": self.t_sense * 1e12,
-            "sense_frac": self.sense_frac,
-            "c_sense_fF": self.c_sense * 1e15,
-            "parasitics": {
-                "r_ml_ohm": self.parasitics.r_ml,
-                "r_dl_ohm": self.parasitics.r_dl,
-                "r_sl_ohm": self.parasitics.r_sl,
-                "c_ml_fF": self.parasitics.c_ml * 1e15,
-                "c_dl_fF": self.parasitics.c_dl * 1e15,
-                "c_sl_fF": self.parasitics.c_sl * 1e15,
-            },
-            "cells": [[{"g_m1_uS": c.g_m1 * 1e6, "g_m2_uS": c.g_m2 * 1e6}
-                       for c in row] for row in self.cells],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict,
-                       ts_params: TsDeviceParams | None = None) -> "ArraySpec":
-        par = doc.get("parasitics", {})
-        parasitics = Parasitics(
-            r_ml=par.get("r_ml_ohm", 1.91),
-            r_dl=par.get("r_dl_ohm", 2.27),
-            r_sl=par.get("r_sl_ohm", 0.85),
-            c_ml=par.get("c_ml_fF", 0.227) * 1e-15,
-            c_dl=par.get("c_dl_fF", 0.324) * 1e-15,
-            c_sl=par.get("c_sl_fF", 0.454) * 1e-15,
-        )
-        cells = tuple(tuple(CellConfig(g_m1=c["g_m1_uS"] * 1e-6,
-                                       g_m2=c["g_m2_uS"] * 1e-6)
-                            for c in row) for row in doc["cells"])
-        variant = doc.get("variant", "mosfet")
-        if variant == "ts" and ts_params is None:
-            ts_params = TsDeviceParams()
-        return cls(rows=doc["rows"], cols=doc["cols"], cells=cells,
-                   parasitics=parasitics,
-                   v_precharge=doc.get("v_precharge_V", 0.8),
-                   t_sense=doc.get("t_sense_ps", 100.0) * 1e-12,
-                   sense_frac=doc.get("sense_frac", 0.5),
-                   variant=variant, ts_params=ts_params,
-                   c_sense=doc.get("c_sense_fF", 1.0) * 1e-15)
+        return self.g1, self.g2
 
 
-def make_array(cells, p: DeviceParams | None = None, variant: str = "mosfet",
+def make_array(cells, variant: str = "mosfet",
                ts_params: TsDeviceParams | None = None, **kwargs) -> ArraySpec:
-    """Convenience constructor from a nested list of CellConfig."""
-    cells = tuple(tuple(row) for row in cells)
+    """Array storing a nested list of CellConfig (one list per row)."""
     if variant == "ts" and ts_params is None:
         ts_params = TsDeviceParams()
-    return ArraySpec(rows=len(cells), cols=len(cells[0]), cells=cells,
+    return ArraySpec(g1=[[c.g_m1 for c in row] for row in cells],
+                     g2=[[c.g_m2 for c in row] for row in cells],
                      variant=variant, ts_params=ts_params, **kwargs)
 
 
@@ -394,6 +357,13 @@ def discharge_latency(a: ArraySpec, stimulus, row: int, p: DeviceParams) -> floa
 # in-array effective bounds and range shift
 # ---------------------------------------------------------------------------
 
+def _row_midpoints(a: ArraySpec, row: int, p: DeviceParams) -> np.ndarray:
+    """Midpoints of the intervals stored in the cells of one row."""
+    return np.array([bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
+                                             a.ts_params).mid
+                     for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())])
+
+
 def _row_matches_at(a: ArraySpec, p: DeviceParams, row: int, col: int,
                     bias: np.ndarray, v: float) -> bool:
     stim = bias.copy()
@@ -415,12 +385,8 @@ def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
         raise DomainError("row/col outside array")
     if step <= 0:
         raise DomainError("step must be positive")
-    if bias is None:
-        bias = np.array([bounds_from_conductance(a.cells[row][c], p,
-                                                 a.variant, a.ts_params).mid
-                         for c in range(a.cols)])
-    else:
-        bias = np.asarray(bias, dtype=float)
+    bias = (_row_midpoints(a, row, p) if bias is None
+            else np.asarray(bias, dtype=float))
 
     grid = np.arange(0.0, 1.0 + step / 2, step)
     stims = np.tile(bias, (len(grid), 1))
@@ -506,12 +472,10 @@ def sweep_column(a: ArraySpec, col: int, p: DeviceParams, step: float = 0.002,
     """
     if not (0 <= col < a.cols):
         raise DomainError("col outside array")
-    if bias is None:
-        bias = np.array([bounds_from_conductance(a.cells[0][c], p,
-                                                 a.variant, a.ts_params).mid
-                         for c in range(a.cols)])
+    bias = (_row_midpoints(a, 0, p) if bias is None
+            else np.asarray(bias, dtype=float))
     grid = np.arange(0.0, 1.0 + step / 2, step)
-    stims = np.tile(np.asarray(bias, dtype=float), (len(grid), 1))
+    stims = np.tile(bias, (len(grid), 1))
     stims[:, col] = grid
     g_row = row_conductances(a, stims, p)
     v_ml = _v_ml_at_sense(a, g_row)

@@ -202,11 +202,6 @@ def conductance_from_bounds(iv: VoltageInterval, p: DeviceParams,
     return CellConfig(g_m1=float(g1[0]), g_m2=float(g2[0]))
 
 
-def wildcard_cell(p: DeviceParams) -> CellConfig:
-    """Cell matching the whole achievable window (g_m1 at floor, g_m2 at ceiling)."""
-    return CellConfig(g_m1=p.g_min, g_m2=p.g_max)
-
-
 def achievable_window(p: DeviceParams, variant: str = "mosfet",
                       ts: TsDeviceParams | None = None,
                       margin: float = 0.002) -> VoltageInterval:
@@ -260,15 +255,6 @@ def v_of_level(index: int, n_levels: int, window: VoltageInterval) -> float:
     """Input voltage addressing level ``index`` (the level-cell midpoint)."""
     pitch = window.width / n_levels
     return window.lo + (index + 0.5) * pitch
-
-
-def encode_level(v: float, levels: list[LevelCode]) -> int:
-    """Index of the level whose pitch slot contains ``v`` (nearest slot)."""
-    n = levels[0].n_levels
-    pitch = levels[1].interval.mid - levels[0].interval.mid
-    window_lo = levels[0].interval.mid - 0.5 * pitch
-    idx = int(np.floor((v - window_lo) / pitch))
-    return min(max(idx, 0), n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Subcommands: calibrate, compile, sweep, search, classify, cost. Outputs are
 machine-first (JSON/CSV) with text grids beside them; there is no plotting.
 Exit codes: 0 success, 2 parse/input error, 3 domain error, 4 convergence
 error. ``search`` and ``classify`` lower their table once and answer the whole
-input file with one batched array search. ``classify`` reports an input line
-it cannot classify as an ``ERROR:`` label naming the line, counts such lines
-on stderr, and still exits 0. All commands are deterministic for a fixed
---seed.
+input file with one batched array search. ``compile`` records the cell
+variant in a tree table and ``classify`` searches with that variant; a
+``--variant`` that contradicts it is a domain error. ``classify`` reports an
+input line it cannot classify as an ``ERROR:`` label naming the line, counts
+such lines on stderr, and still exits 0. All commands are deterministic for
+a fixed --seed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .tables import (CamTable, RangeRule, compile_rules, default_level_family,
                      family_to_json_dict, format_grid, lower_to_conductances,
                      parse_rules_jsonl, table_from_json_dict,
                      table_to_json_dict)
-from .trees import TreeTable, _decode, tree_from_json_dict, tree_to_cam
+from .trees import (FeatureSpec, TreeTable, _decode, tree_from_json_dict,
+                    tree_to_cam)
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -134,14 +137,14 @@ def _maybe_program(cells, p, seed):
     return out
 
 
-def _table_cells(table: CamTable, p, args, family=None):
-    variant = args.variant
-    ts = TsDeviceParams() if variant == "ts" else None
-    cells = lower_to_conductances(table, p, family=family, variant=variant,
-                                  ts=ts)
+def _table_array(table: CamTable, p, args):
+    """Array storing ``table`` lowered for ``--variant`` (programmed with
+    write noise under ``--program-noise``)."""
+    ts = TsDeviceParams() if args.variant == "ts" else None
+    cells = lower_to_conductances(table, p, variant=args.variant, ts=ts)
     if args.program_noise:
         cells = _maybe_program(cells, p, args.seed)
-    return cells, ts
+    return make_array(cells, variant=args.variant, ts_params=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +202,7 @@ def cmd_compile(args, config) -> int:
                          bits_per_cell=args.bits)
         doc = {
             "kind": "tree_table",
+            "variant": tt.variant,
             "window": {"lo_V": tt.window.lo, "hi_V": tt.window.hi},
             "features": [{"name": f.name, "lo": f.lo, "hi": f.hi}
                          for f in tt.features],
@@ -226,23 +230,11 @@ def cmd_compile(args, config) -> int:
 
 
 def _load_compiled(path: str):
+    """The table of a compiled table document, and the document."""
     doc = _read_json(path)
     if not isinstance(doc, dict) or "table" not in doc:
         raise ParseError(f"{path}: not a compiled table document")
-    table = table_from_json_dict(doc["table"])
-    if doc.get("kind") == "tree_table":
-        from .trees import FeatureSpec
-        family = None
-        if "family" in doc:
-            family = family_from_json_dict(doc["family"])
-        tt = TreeTable(
-            table=table,
-            features=tuple(FeatureSpec(f["name"], f["lo"], f["hi"])
-                           for f in doc["features"]),
-            window=VoltageInterval(doc["window"]["lo_V"], doc["window"]["hi_V"]),
-            family=family)
-        return table, tt
-    return table, None
+    return table_from_json_dict(doc["table"]), doc
 
 
 def cmd_sweep(args, config) -> int:
@@ -251,15 +243,14 @@ def cmd_sweep(args, config) -> int:
     if args.cell:
         g1, g2 = (float(x) * 1e-6 for x in args.cell.split(","))
         cells = [[CellConfig(g1, g2)] * args.cols]
-        ts = TsDeviceParams() if args.variant == "ts" else None
         if args.program_noise:
             cells = _maybe_program(cells, p, args.seed)
+        a = make_array(cells, variant=args.variant)
     else:
         if not args.table:
             raise DomainError("sweep needs a table file or --cell G1_US,G2_US")
         table, _ = _load_compiled(args.table)
-        cells, ts = _table_cells(table, p, args)
-    a = make_array(cells, variant=args.variant, ts_params=ts)
+        a = _table_array(table, p, args)
     if not (0 <= args.column < a.cols):
         raise DomainError(f"--column {args.column} outside [0, {a.cols})")
     samples = sweep_column(a, args.column, p, step=step)
@@ -284,10 +275,9 @@ def cmd_search(args, config) -> int:
     table, _ = _load_compiled(args.table)
     if table.bits_per_cell is None:
         raise DomainError("search needs a digit table (compile with --bits)")
-    cells, ts = _table_cells(table, p, args)
-    a = make_array(cells, variant=args.variant, ts_params=ts)
+    a = _table_array(table, p, args)
     family = default_level_family(1 << table.bits_per_cell, p,
-                                  args.variant, ts)
+                                  a.variant, a.ts_params)
     values = [v for _, v in _read_input_lines(args.inputs, int)]
     stim = np.array([encode_integer(v, table, family) for v in values])
     matched = search_many(a, stim.reshape(len(values), a.cols), p)
@@ -329,19 +319,29 @@ def _classify_rows(tt: TreeTable, a, feats: list, p) -> list:
 
 def cmd_classify(args, config) -> int:
     p = _device_params(args, config)
-    _, tt = _load_compiled(args.table)
-    if tt is None:
+    table, doc = _load_compiled(args.table)
+    if doc.get("kind") != "tree_table":
         raise DomainError("classify needs a compiled tree table")
+    # documents written before compile recorded the variant do not carry it
+    variant = doc.get("variant", args.variant or "mosfet")
+    if args.variant not in (None, variant):
+        raise DomainError(f"table was compiled for --variant {variant}, "
+                          f"not --variant {args.variant}")
+    ts = TsDeviceParams() if variant == "ts" else None
+    family = family_from_json_dict(doc["family"]) if "family" in doc else None
+    tt = TreeTable(
+        table=table,
+        features=tuple(FeatureSpec(f["name"], f["lo"], f["hi"])
+                       for f in doc["features"]),
+        window=VoltageInterval(doc["window"]["lo_V"], doc["window"]["hi_V"]),
+        family=family, variant=variant, ts=ts)
     rows = _read_input_lines(args.inputs, _parse_features)
-    try:
-        cells, ts = _table_cells(tt.table, p, args, family=tt.family)
-    except DomainError as e:
-        # a table compiled for the other variant lies outside this variant's
-        # window: every line fails with the same reason
-        results = [(None, str(e))] * len(rows)
-    else:
-        a = make_array(cells, variant=args.variant, ts_params=ts)
-        results = _classify_rows(tt, a, [x for _, x in rows], p)
+    cells = lower_to_conductances(table, p, family=family, variant=variant,
+                                  ts=ts)
+    if args.program_noise:
+        cells = _maybe_program(cells, p, args.seed)
+    a = make_array(cells, variant=variant, ts_params=ts)
+    results = _classify_rows(tt, a, [x for _, x in rows], p)
     lines = ["label"]
     failed = 0
     for (lineno, _), (label, reason) in zip(rows, results):
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ternary", action="store_true", help="compile to TCAM rows")
     c.add_argument("--device-params", help="device parameter JSON file")
     c.add_argument("--variant", choices=["mosfet", "ts"], default="mosfet")
-    c.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("sweep", help="sweep one column's DL and dump CSV")
     c.add_argument("table", nargs="?", help="compiled table JSON")
@@ -434,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("table", help="compiled tree-table JSON")
     c.add_argument("inputs", help="CSV of feature vectors, one per line")
     c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"], default="mosfet")
+    c.add_argument("--variant", choices=["mosfet", "ts"],
+                   help="must match the variant the table was compiled for "
+                        "(default: that variant)")
     c.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("cost", help="energy/area report")

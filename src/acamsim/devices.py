@@ -15,9 +15,9 @@ expressed as conductances:
 * ``pulldown_conductance`` - the ML pull-down channel vs. its gate voltage:
   ``g_on`` at/above threshold, ``g_off * 10**((v_g - v_th_ml)/swing)`` below,
   again C1-blended at the top of the sub-threshold branch.
-* ``ts_conductance`` - a volatile threshold-switching device with hysteresis
-  (snaps on at ``v_threshold``, releases at ``v_hold``) used by the low-leak
-  pull-up cell variant.
+* ``ts_conductance_off_curve`` - the OFF branch of the volatile
+  threshold-switching device (fresh each search) that replaces the
+  pull-down in the low-leak pull-up cell variant.
 * ``program_memristor`` - iterative program-and-verify write with Gaussian
   per-pulse error.
 
@@ -254,6 +254,24 @@ def inverter_output(v_in, p: DeviceParams):
     return float(out) if np.isscalar(v_in) else out
 
 
+def _log_blend_curve(v, v_on, swing_v, blend_v, g_off, g_on, floor):
+    """Exponential branch up to ``v_on - blend_v``, ``g_on`` from ``v_on``.
+
+    Below the blend window the conductance is ``g_off * 10**((v - v_on) /
+    swing_v)``, floored at ``g_off * floor``; across the window it follows a
+    monotone C1 Hermite blend in log-conductance that leaves the exponential
+    with its slope and reaches ``g_on`` flat.
+    """
+    u = v - v_on
+    t = np.clip((u + blend_v) / blend_v, 0.0, 1.0)
+    exp_branch = np.maximum(g_off * np.power(10.0, np.minimum(u, 0.0) / swing_v),
+                            g_off * floor)
+    log_lo = math.log10(g_off) - blend_v / swing_v
+    log_hi = math.log10(g_on)
+    blend = np.power(10.0, _hermite(t, log_lo, blend_v / swing_v, log_hi, 0.0))
+    return np.where(u >= 0.0, g_on, np.where(u <= -blend_v, exp_branch, blend))
+
+
 def pulldown_conductance(v_g, p: DeviceParams):
     """ML pull-down channel conductance at gate voltage ``v_g``.
 
@@ -269,76 +287,28 @@ def pulldown_conductance(v_g, p: DeviceParams):
     v = np.asarray(v_g, dtype=float)
     if np.any(v < 0.0):
         raise DomainError("gate voltage must be non-negative")
-    swing_v = p.swing * 1e-3
-    u = v - p.v_th_ml
-    t = np.clip((u + PD_BLEND_V) / PD_BLEND_V, 0.0, 1.0)
-
     if p.g_off == 0.0:
+        u = v - p.v_th_ml
+        t = np.clip((u + PD_BLEND_V) / PD_BLEND_V, 0.0, 1.0)
         blend = p.g_on * (3.0 * t * t - 2.0 * t * t * t)
         out = np.where(u >= 0.0, p.g_on, np.where(u <= -PD_BLEND_V, 0.0, blend))
     else:
-        exp_branch = np.maximum(
-            p.g_off * np.power(10.0, np.minimum(u, 0.0) / swing_v),
-            p.g_off * 1e-6)
-        log_lo = math.log10(p.g_off) - PD_BLEND_V / swing_v
-        log_hi = math.log10(p.g_on)
-        log_blend = _hermite(t, log_lo, PD_BLEND_V / swing_v, log_hi, 0.0)
-        out = np.where(u >= 0.0, p.g_on,
-                       np.where(u <= -PD_BLEND_V, exp_branch,
-                                np.power(10.0, log_blend)))
+        out = _log_blend_curve(v, p.v_th_ml, p.swing * 1e-3, PD_BLEND_V,
+                               p.g_off, p.g_on, 1e-6)
     return float(out) if np.isscalar(v_g) else out
 
 
-def ts_conductance(v, prior_state: str, tp: TsDeviceParams):
-    """Quasi-static hysteretic conductance of a threshold-switching device.
-
-    Switches ON when the applied voltage reaches ``v_threshold`` and OFF when
-    it falls to ``v_hold``; in between it retains ``prior_state``. The OFF
-    branch rises toward ``g_ts_on`` with slope ``swing_ts`` (blended C1 over
-    the last ``swing_ts`` millivolt below threshold). Returns
-    ``(conductance, new_state)``.
-    """
-    if prior_state not in ("on", "off"):
-        raise DomainError(f"prior_state must be 'on' or 'off', got {prior_state!r}")
-    if v < 0.0:
-        raise DomainError("applied voltage must be non-negative")
-
-    if v >= tp.v_threshold:
-        state = "on"
-    elif v <= tp.v_hold:
-        state = "off"
-    else:
-        state = prior_state
-
-    if state == "on":
-        return tp.g_ts_on, state
-
-    swing_v = tp.swing_ts * 1e-3
-    blend_v = swing_v  # transition window scales with the device sharpness
-    u = v - tp.v_threshold
-    if u <= -blend_v:
-        g = max(tp.g_ts_off * 10.0 ** (u / swing_v), tp.g_ts_off * 1e-9)
-    else:
-        t = (u + blend_v) / blend_v
-        log_lo = math.log10(tp.g_ts_off) - blend_v / swing_v
-        log_hi = math.log10(tp.g_ts_on)
-        g = 10.0 ** _hermite(t, log_lo, blend_v / swing_v, log_hi, 0.0)
-    return g, state
-
-
 def ts_conductance_off_curve(v, tp: TsDeviceParams):
-    """Vectorized OFF-branch conductance (fresh search, no prior ON state)."""
-    v = np.asarray(v, dtype=float)
+    """OFF-branch conductance of the threshold-switching device.
+
+    Every search starts the device fresh, never from a prior ON state, so
+    this branch is the whole search-time model: it rises with slope
+    ``swing_ts`` and is blended C1 over the last ``swing_ts`` millivolts
+    below ``v_threshold``, where it reaches ``g_ts_on``.
+    """
     swing_v = tp.swing_ts * 1e-3
-    blend_v = swing_v
-    u = v - tp.v_threshold
-    exp_branch = np.maximum(tp.g_ts_off * np.power(10.0, np.minimum(u, 0.0) / swing_v),
-                            tp.g_ts_off * 1e-9)
-    t = np.clip((u + blend_v) / blend_v, 0.0, 1.0)
-    log_lo = math.log10(tp.g_ts_off) - blend_v / swing_v
-    log_hi = math.log10(tp.g_ts_on)
-    blend = np.power(10.0, _hermite(t, log_lo, blend_v / swing_v, log_hi, 0.0))
-    return np.where(u >= 0.0, tp.g_ts_on, np.where(u <= -blend_v, exp_branch, blend))
+    return _log_blend_curve(np.asarray(v, dtype=float), tp.v_threshold,
+                            swing_v, swing_v, tp.g_ts_off, tp.g_ts_on, 1e-9)
 
 
 # ---------------------------------------------------------------------------

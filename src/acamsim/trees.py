@@ -91,13 +91,16 @@ class TreeTable:
 
     Continuous mode (the default) stores one analog interval per feature;
     quantized mode snaps thresholds to a discrete level family and stores
-    level sub-ranges instead.
+    level sub-ranges instead. ``variant`` and ``ts`` name the cell the table
+    was compiled for; searches lower it for that cell.
     """
 
     table: CamTable
     features: tuple[FeatureSpec, ...]
     window: VoltageInterval
     family: LevelFamily | None = None  # set in quantized mode
+    variant: str = "mosfet"
+    ts: TsDeviceParams | None = None
 
     def _domain(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([f.lo for f in self.features]),
@@ -200,7 +203,8 @@ def tree_to_cam(t: DecisionTree, p: DeviceParams,
 
     if bits_per_cell is None:
         table = CamTable(rows=tuple(rows), width_bits=None, bits_per_cell=None)
-        return TreeTable(table=table, features=t.features, window=window)
+        return TreeTable(table=table, features=t.features, window=window,
+                         variant=variant, ts=ts)
 
     family = default_level_family(1 << bits_per_cell, p, variant, ts)
     n_levels = family.n_levels
@@ -223,31 +227,19 @@ def tree_to_cam(t: DecisionTree, p: DeviceParams,
     qrows = tuple((snap(word, label), label) for word, label in rows)
     table = CamTable(rows=qrows, width_bits=None, bits_per_cell=bits_per_cell)
     return TreeTable(table=table, features=t.features, window=window,
-                     family=family)
+                     family=family, variant=variant, ts=ts)
 
 
-def classify(tt: TreeTable, x, p: DeviceParams,
-             array_factory=None, variant: str = "mosfet",
-             ts: TsDeviceParams | None = None) -> str:
-    """Classify one feature vector through the compiled array search.
+def classify_many(tt: TreeTable, xs, p: DeviceParams) -> list[str]:
+    """Labels of feature vectors ``xs`` (n x features) from one array search.
 
-    Raises :class:`AmbiguousMatchError` on zero or multiple matching rows
-    (a quantization collision or an in-array boundary shift).
+    The table is lowered for the cell variant it was compiled for. Raises
+    :class:`AmbiguousMatchError` naming the first input that matched zero or
+    several rows (a quantization collision or an in-array boundary shift).
     """
-    labels = classify_many(tt, [x], p, array_factory, variant, ts)
-    return labels[0]
-
-
-def classify_many(tt: TreeTable, xs, p: DeviceParams,
-                  array_factory=None, variant: str = "mosfet",
-                  ts: TsDeviceParams | None = None) -> list[str]:
-    """Vectorized classification of many feature vectors on one array."""
     cells = lower_to_conductances(tt.table, p, family=tt.family,
-                                  variant=variant, ts=ts)
-    if array_factory is None:
-        array = make_array(cells, variant=variant, ts_params=ts)
-    else:
-        array = array_factory(cells)
+                                  variant=tt.variant, ts=tt.ts)
+    array = make_array(cells, variant=tt.variant, ts_params=tt.ts)
     labels, wrong = _decode(tt.table, search_many(array, tt.encode_many(xs), p))
     if wrong:
         i, rows = next(iter(wrong.items()))

@@ -11,8 +11,7 @@ from acamsim.array import (ArraySpec, MAX_WORD_LENGTH_CAP, PRUNE_FACTOR,
                            row_conductances, search, search_many,
                            sweep_column)
 from acamsim.cell import (CellConfig, VoltageInterval, achievable_window,
-                          bounds_from_conductance, conductance_from_bounds,
-                          wildcard_cell)
+                          bounds_from_conductance, conductance_from_bounds)
 from acamsim.errors import (DomainError, EmptyIntervalError, NoDischargeError)
 
 REFERENCE_INTERVAL = VoltageInterval(0.33, 0.43)
@@ -31,7 +30,7 @@ class TestSearch:
 
     def test_wildcard_row_matches_everything_in_window(self, params):
         w = achievable_window(params)
-        a = make_array([[wildcard_cell(params)] * 6])
+        a = make_array([[CellConfig(params.g_min, params.g_max)] * 6])
         for v in np.linspace(w.lo, w.hi, 25):
             assert search(a, [v] * 6, params).rows[0].matched
 
@@ -260,25 +259,36 @@ class TestLatency:
             discharge_latency(a, [0.38, 0.38], 0, params)
 
 
-class TestSerialization:
-    def test_array_spec_round_trip(self, params):
+class TestArraySpec:
+    def test_stores_read_only_copies(self, params):
+        cells = [[reference_cell(params), CellConfig(10e-6, 90e-6)]]
+        a = make_array(cells)
+        assert (a.rows, a.cols) == (1, 2)
+        assert a.g2[0, 1] == 90e-6
+        g1, g2 = a.conductance_matrices()
+        assert g1 is a.g1 and g2 is a.g2
+        with pytest.raises(ValueError):
+            a.g1[0, 0] = 0.0
+        g1 = np.full((1, 2), 20e-6)
+        b = ArraySpec(g1=g1, g2=a.g2)
+        g1[0, 0] = 30e-6
+        assert b.g1[0, 0] == 20e-6
+
+    def test_ragged_or_empty_cells_rejected(self, params):
         cell = reference_cell(params)
-        a = make_array([[cell, CellConfig(10e-6, 90e-6)]], v_precharge=0.9)
-        doc = a.to_json_dict()
-        back = ArraySpec.from_json_dict(doc)
-        assert back.rows == a.rows and back.cols == a.cols
-        assert back.v_precharge == pytest.approx(0.9)
-        assert back.cells[0][1].g_m2 == pytest.approx(90e-6)
+        for cells in ([[cell, cell], [cell]], [], [[]]):
+            with pytest.raises(DomainError):
+                make_array(cells)
 
     def test_invalid_specs_rejected(self, params):
         cell = reference_cell(params)
         with pytest.raises(DomainError):
-            ArraySpec(rows=2, cols=1, cells=((cell,),))
+            ArraySpec(g1=[[cell.g_m1], [cell.g_m1]], g2=[[cell.g_m2]])
         with pytest.raises(DomainError):
             make_array([[cell]], sense_frac=1.5)
         with pytest.raises(DomainError):
             make_array([[cell]], variant="ts")  # needs ts_params via ArraySpec
-            ArraySpec(rows=1, cols=1, cells=((cell,),), variant="ts")
+            ArraySpec(g1=[[cell.g_m1]], g2=[[cell.g_m2]], variant="ts")
 
 
 def test_search_many_agrees_with_scalar_search(params):
@@ -351,8 +361,10 @@ def _differential_stimuli(rng, a, p):
     Edge sweeps move one column of a row's midpoint word; they include the
     exact edge, 0 V and 1 V.
     """
-    bounds = [[bounds_from_conductance(c, p, a.variant, a.ts_params)
-               for c in row] for row in a.cells]
+    bounds = [[bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
+                                       a.ts_params)
+               for g1, g2 in zip(r1, r2)]
+              for r1, r2 in zip(a.g1.tolist(), a.g2.tolist())]
     lo = np.array([[iv.lo for iv in row] for row in bounds])
     hi = np.array([[iv.hi for iv in row] for row in bounds])
     parts = [rng.uniform(0.0, 1.0, size=(500, a.cols))]
@@ -419,7 +431,7 @@ class TestPrunedSearch:
         # wildcard rows match every word in the window, so every row goes
         # through the kernel; the full-kernel peak here is about 190 MiB
         rows, cols, n = 16, 16, 8192
-        a = make_array([[wildcard_cell(params)] * cols] * rows)
+        a = make_array([[CellConfig(params.g_min, params.g_max)] * cols] * rows)
         w = achievable_window(params)
         stims = np.random.default_rng(37).uniform(w.lo, w.hi, size=(n, cols))
         tracemalloc.start()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from acamsim.cell import (CellConfig, REFERENCE_ANCHORS, VoltageInterval,
                           achievable_window, bounds_from_conductance,
                           calibrate, calibrated_defaults,
-                          conductance_from_bounds, encode_level,
+                          conductance_from_bounds,
                           lower_bound_voltage, quantize_levels,
                           upper_bound_voltage, v_of_level)
 from acamsim.devices import transistor_conductance
@@ -164,13 +164,11 @@ class TestQuantizeLevels:
         with pytest.raises(PackingError):
             quantize_levels(20, window, guard=0.021)
 
-    def test_encode_decode_identity(self):
+    def test_level_voltage_lies_in_its_level(self):
         window = VoltageInterval(0.2, 0.6)
         levels = quantize_levels(8, window, guard=0.010)
         for i in range(8):
-            v = v_of_level(i, 8, window)
-            assert levels[i].interval.contains(v)
-            assert encode_level(v, levels) == i
+            assert levels[i].interval.contains(v_of_level(i, 8, window))
 
     def test_invalid_requests(self):
         with pytest.raises(DomainError):

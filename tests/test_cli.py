@@ -50,10 +50,9 @@ def compile_tree(tmp_path, name, *flags) -> str:
     return os.path.join(out, "table.json")
 
 
-def per_line_labels(tt, text, p, variant):
+def per_line_labels(tt, text, p):
     """labels.csv and the failure count from one ``classify_many`` call per
     line, with errors written as the per-line CLI wrote them."""
-    ts = TsDeviceParams() if variant == "ts" else None
     lines, failed = ["label"], 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         raw = raw.strip()
@@ -61,7 +60,7 @@ def per_line_labels(tt, text, p, variant):
             continue
         x = [float(v) for v in raw.split(",")]
         try:
-            lines.append(classify_many(tt, [x], p, variant=variant, ts=ts)[0])
+            lines.append(classify_many(tt, [x], p)[0])
             continue
         except AmbiguousMatchError as e:
             matched = " ".join(str(r) for r in e.matched_rows) or "none"
@@ -400,7 +399,7 @@ class TestClassify:
         ts = TsDeviceParams() if variant == "ts" else None
         tt = tree_to_cam(tree_from_json_dict(TREE_DOC), p, variant=variant,
                          ts=ts)
-        want, failed = per_line_labels(tt, text, p, variant)
+        want, failed = per_line_labels(tt, text, p)
         # the file reaches every kind of per-line failure
         for reason in ("0 rows matched", "outside encoded domain",
                        "non-finite value", "must be n x 2"):
@@ -414,19 +413,70 @@ class TestClassify:
         assert capsys.readouterr().err == (
             f"classify: {failed} of {n} lines failed\n")
 
-    def test_table_of_other_variant_fails_every_line(self, tmp_path, capsys):
+    def test_classifies_with_the_recorded_variant(self, tmp_path):
         table = compile_tree(tmp_path, "kv", "--variant", "ts")
+        doc = json.loads((tmp_path / "kv" / "table.json").read_text())
+        assert doc["variant"] == "ts"
+        text = "\n".join(MIXED_LINES) + "\n"
+        inputs = tmp_path / "mixed.csv"
+        inputs.write_text(text)
+        got = {}
+        for name, flags in (("unset", []), ("ts", ["--variant", "ts"])):
+            out = tmp_path / name
+            assert main(["--out", str(out), "classify", table, str(inputs),
+                         *flags]) == 0
+            got[name] = (out / "labels.csv").read_bytes()
+        assert got["unset"] == got["ts"]
+        p = calibrated_defaults()
+        tt = tree_to_cam(tree_from_json_dict(TREE_DOC), p, variant="ts",
+                         ts=TsDeviceParams())
+        lines = got["unset"].decode().splitlines()
+        assert lines == per_line_labels(tt, text, p)[0]
+        xs = [[0.2, 0.9], [0.8, 0.1], [0.8, 0.9]]
+        (tmp_path / "in.csv").write_text("0.2,0.9\n0.8,0.1\n0.8,0.9\n")
+        assert main(["--out", str(tmp_path / "few"), "classify", table,
+                     str(tmp_path / "in.csv")]) == 0
+        few = (tmp_path / "few" / "labels.csv").read_text().splitlines()
+        assert few[1:] == classify_many(tt, xs, p) == ["A", "B", "C"]
+
+    def test_contradicting_variant_is_domain_error(self, tmp_path, capsys):
+        table = compile_tree(tmp_path, "kx", "--variant", "ts")
         inputs = tmp_path / "in.csv"
-        inputs.write_text("0.2,0.9\n\n0.3\n")
+        inputs.write_text("0.2,0.9\n0.8,0.1\n")
+        out = tmp_path / "kx" / "classified"
         capsys.readouterr()
-        assert main(["--out", str(tmp_path / "kv"), "classify", table,
-                     str(inputs)]) == 0
-        lines = (tmp_path / "kv" / "labels.csv").read_text().splitlines()
-        assert [line.split(":")[:2] for line in lines[1:]] == [
-            ["ERROR", "line 1"], ["ERROR", "line 3"]]
-        assert lines[1][len("ERROR:line 1"):] == lines[2][len("ERROR:line 3"):]
-        assert "outside" in lines[1]
-        assert capsys.readouterr().err == "classify: 2 of 2 lines failed\n"
+        assert main(["--out", str(out), "classify", table, str(inputs),
+                     "--variant", "mosfet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: table was compiled for --variant ts, "
+                                "not --variant mosfet\n")
+        assert not (out / "labels.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_unrecorded_variant_follows_the_flag(self, tmp_path, capsys,
+                                                 variant):
+        # a table written before compile recorded the variant
+        table = compile_tree(tmp_path, "ko", "--variant", variant)
+        doc = json.loads((tmp_path / "ko" / "table.json").read_text())
+        del doc["variant"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n0.8,0.1\n0.8,0.9\n")
+        flags = ["--variant", variant] if variant == "ts" else []
+        assert main(["--out", str(tmp_path / "o"), "classify", str(old),
+                     str(inputs), *flags]) == 0
+        lines = (tmp_path / "o" / "labels.csv").read_text().splitlines()
+        assert lines == ["label", "A", "B", "C"]
+        if variant == "ts":
+            # without the flag it is read as a mosfet table, which cannot
+            # store the ts window
+            capsys.readouterr()
+            assert main(["--out", str(tmp_path / "m"), "classify", str(old),
+                         str(inputs)]) == 3
+            assert "outside" in capsys.readouterr().err
+            assert not (tmp_path / "m" / "labels.csv").exists()
 
     def test_lowers_and_searches_once_per_file(self, tmp_path, monkeypatch):
         table = compile_tree(tmp_path, "kl")

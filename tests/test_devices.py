@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from acamsim.devices import (DeviceParams, TsDeviceParams,
                              divider_gate_voltage, program_memristor,
                              pulldown_conductance, transistor_conductance,
-                             transistor_conductance_inverse, ts_conductance)
+                             transistor_conductance_inverse,
+                             ts_conductance_off_curve)
 from acamsim.errors import DomainError, ProgrammingError
 
 
@@ -132,50 +133,24 @@ class TestPulldownConductance:
             pulldown_conductance(-0.1, params)
 
 
-class TestThresholdSwitching:
-    def test_snaps_on_at_threshold(self, ts_params):
-        g, state = ts_conductance(0.5, "off", ts_params)
-        assert state == "on"
-        assert g == ts_params.g_ts_on
+class TestTsOffCurve:
+    def test_rises_to_on_at_threshold(self, ts_params):
+        tp = ts_params
+        v = np.linspace(0.0, 1.0, 2001)
+        g = ts_conductance_off_curve(v, tp)
+        assert np.all(np.diff(g) >= 0)
+        assert g[0] == tp.g_ts_off * 1e-9
+        assert ts_conductance_off_curve(tp.v_threshold, tp) == tp.g_ts_on
+        # one decade per swing_ts below the blend window
+        below = tp.v_threshold - 2 * tp.swing_ts * 1e-3
+        assert ts_conductance_off_curve(below, tp) == pytest.approx(
+            tp.g_ts_off * 1e-2, rel=1e-9)
 
-    def test_releases_at_hold(self, ts_params):
-        g, state = ts_conductance(0.05, "on", ts_params)
-        assert state == "off"
-        assert g < ts_params.g_ts_off
-
-    def test_retains_state_inside_hysteresis_window(self, ts_params):
-        _, state = ts_conductance(0.25, "on", ts_params)
-        assert state == "on"
-        _, state = ts_conductance(0.25, "off", ts_params)
-        assert state == "off"
-
-    def test_hysteresis_loop(self, ts_params):
-        # up-sweep then down-sweep trace different branches
-        state = "off"
-        up = {}
-        for v in np.linspace(0.0, 0.6, 61):
-            g, state = ts_conductance(float(v), state, ts_params)
-            up[round(float(v), 3)] = g
-        assert state == "on"
-        down = {}
-        for v in np.linspace(0.6, 0.0, 61):
-            g, state = ts_conductance(float(v), state, ts_params)
-            down[round(float(v), 3)] = g
-        assert state == "off"
-        # between hold and threshold the two branches differ by orders of magnitude
-        assert down[0.25] / up[0.25] > 1e3
-
-    def test_on_unreachable_without_threshold(self, ts_params):
-        state = "off"
-        for v in np.linspace(0.0, ts_params.v_threshold - 0.01, 40):
-            _, state = ts_conductance(float(v), state, ts_params)
-            assert state == "off"
-
-    def test_invalid_inputs(self, ts_params):
-        with pytest.raises(DomainError):
-            ts_conductance(0.2, "floating", ts_params)
-        with pytest.raises(DomainError):
-            TsDeviceParams(v_threshold=0.1, v_hold=0.2)
+    def test_continuous_at_blend_edge(self, ts_params):
+        edge = ts_params.v_threshold - ts_params.swing_ts * 1e-3
+        lo, hi = ts_conductance_off_curve(np.array([edge - 1e-9, edge + 1e-9]),
+                                          ts_params)
+        assert hi == pytest.approx(lo, rel=1e-5)
 
 
 class TestProgramMemristor:
@@ -294,4 +269,8 @@ class TestDeviceParams:
         base.update(bad)
         with pytest.raises(DomainError):
             DeviceParams(**base)
+
+    def test_ts_invariants_rejected(self):
+        with pytest.raises(DomainError):
+            TsDeviceParams(v_threshold=0.1, v_hold=0.2)
 

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from acamsim.cell import VoltageInterval, achievable_window
-from acamsim.errors import AmbiguousMatchError, DomainError, MalformedTreeError
-from acamsim.tables import CamTable, IntervalWord
+from acamsim.errors import (AmbiguousMatchError, DomainError,
+                            MalformedTreeError, OutOfWindowError)
+from acamsim.tables import CamTable, IntervalWord, lower_to_conductances
 from acamsim.trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode,
-                           TreeTable, classify, classify_many,
+                           TreeTable, classify_many,
                            tree_from_json_dict, tree_to_cam, tree_to_json_dict)
 
 UNIT = FeatureSpec("x", 0.0, 1.0)
@@ -69,8 +70,19 @@ class TestTreeToCam:
         t = DecisionTree(features=(UNIT,),
                          root=TreeNode(0, 0.5, TreeLeaf("lo"), TreeLeaf("hi")))
         tt = tree_to_cam(t, params)
-        assert classify(tt, [0.5], params) == "hi"
+        assert classify_many(tt, [[0.5]], params) == ["hi"]
         assert t.classify([0.5]) == "hi"
+
+    def test_table_records_its_variant(self, params, ts_params):
+        t = DecisionTree(features=(UNIT,),
+                         root=TreeNode(0, 0.5, TreeLeaf("lo"), TreeLeaf("hi")))
+        tt = tree_to_cam(t, params, variant="ts", ts=ts_params)
+        assert (tt.variant, tt.ts) == ("ts", ts_params)
+        assert tt.window == achievable_window(params, "ts", ts_params)
+        # searched as a ts array: the mosfet cell cannot store this window
+        assert classify_many(tt, [[0.25], [0.75]], params) == ["lo", "hi"]
+        with pytest.raises(OutOfWindowError):
+            lower_to_conductances(tt.table, params)
 
     def test_contradictory_path_rejected(self, params):
         # right of 0.8 then left of 0.2 on the same feature is empty
@@ -124,7 +136,7 @@ class TestClassify:
                          root=TreeNode(0, 0.5, TreeLeaf("a"), TreeLeaf("b")))
         tt = tree_to_cam(t, params)
         with pytest.raises(DomainError):
-            classify(tt, [1.5], params)
+            classify_many(tt, [[1.5]], params)
 
     def test_non_finite_feature_is_domain_error(self, params):
         t = DecisionTree(features=(UNIT,),
@@ -157,21 +169,6 @@ class TestClassify:
             classify_many(tt, [[0.2], [0.55], [0.9]], params)
         assert str(err.value) == "input 1: 0 rows matched (expected exactly 1)"
         assert err.value.matched_rows == ()
-
-    def test_custom_array_factory(self, params):
-        from acamsim.array import make_array
-        t = DecisionTree(features=(UNIT,),
-                         root=TreeNode(0, 0.5, TreeLeaf("a"), TreeLeaf("b")))
-        tt = tree_to_cam(t, params)
-        calls = []
-
-        def factory(cells):
-            calls.append(len(cells))
-            return make_array(cells)
-
-        assert classify(tt, [0.25], params, array_factory=factory) == "a"
-        assert calls == [2]
-
 
 class TestQuantizedMode:
     def test_matches_traversal_on_lattice_safe_trees(self, params):
