@@ -35,9 +35,10 @@ MAX_WORD_LENGTH_CAP = 2 ** 31 - 1
 LN10 = math.log(10.0)
 
 # search_many rejects a row without the electrical kernel when one cell leg
-# alone conducts at least PRUNE_FACTOR * G_th. The factor is a rounding
+# alone conducts at least PRUNE_FACTOR * G_th, and accepts one when every leg
+# conducts at most G_th / (PRUNE_FACTOR * 2 * cols). The factor is a rounding
 # margin: it dwarfs any floating-point error in the divider, inverter and
-# threshold arithmetic, so a pruned row is a mismatch in the full kernel too.
+# threshold arithmetic, so the full kernel decides such a row the same way.
 PRUNE_FACTOR = 2.0
 # Input x row x column elements search_many handles per chunk of inputs, which
 # bounds its working memory whatever the batch size.
@@ -207,16 +208,18 @@ def row_conductances(a: ArraySpec, stimuli: np.ndarray,
 
 @functools.lru_cache(maxsize=64)
 def _leg_gate_threshold(variant: str, tp: TsDeviceParams | None,
-                        p: DeviceParams, k: float) -> float | None:
-    """Gate voltage from which one leg conducts at least ``k``.
+                        p: DeviceParams, k: float) -> tuple[float, float | None]:
+    """Gate voltages ``(below, reach)`` either side of where a leg reaches ``k``.
 
-    Bisection on the monotone leg curve over [0, v_slhi] to v_slhi / 2**40,
-    keeping the end where the leg reaches ``k``; None when it stays below
-    ``k`` up to the rail. Cached: one array geometry gives the same ``k`` on
-    every call.
+    Bisection on the monotone leg curve over [0, v_slhi] to v_slhi / 2**40:
+    the leg conducts less than ``k`` at gate voltages up to ``below`` (0.0
+    when it reaches ``k`` at every positive voltage tried) and at least
+    ``k`` from ``reach`` on. ``reach`` is None when the leg stays below
+    ``k`` up to the rail, which is then ``below``. Cached: one array
+    geometry gives the same ``k`` on every call.
     """
     if _leg(p.v_slhi, variant, p, tp) < k:
-        return None
+        return p.v_slhi, None
     lo, hi = 0.0, p.v_slhi
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -224,27 +227,67 @@ def _leg_gate_threshold(variant: str, tp: TsDeviceParams | None,
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
+
+
+def _gate_bounds(g1: np.ndarray, g2: np.ndarray, v_g: float,
+                 p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
+    """Divider-transistor conductances putting each leg's gate at ``v_g``.
+
+    The M1 gate is at or above ``v_g`` for ``g_t`` up to the first and at or
+    below it from there on; the M2 gate, behind the inverter, is at or
+    below ``v_g`` for ``g_t`` up to the second and at or above it from
+    there on. A side that never crosses ``v_g`` gets ``inf``.
+    """
+    never = np.full(g1.shape, np.inf)
+    b1 = g1 * (p.v_slhi / v_g - 1.0) if v_g > 0.0 else never
+    v_d = p.v_th_inv - (v_g - p.v_th_inv) / p.inv_gain
+    b2 = g2 * (p.v_slhi / v_d - 1.0) if v_d > 0.0 else never
+    return b1, b2
 
 
 def _prune_thresholds(a: ArraySpec, g1: np.ndarray, g2: np.ndarray,
-                      p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell divider-transistor conductances past which one leg decides.
+                      p: DeviceParams) -> tuple[np.ndarray, ...]:
+    """Per-cell divider-transistor conductances that settle a row alone.
 
-    A cell with ``g_t <= t1`` drives its M1 leg gate to at least the gate
-    voltage ``vg_k`` where the leg reaches ``PRUNE_FACTOR * G_th``; one
-    with ``g_t >= t2`` pulls its M2 divider down to ``vd_k``, which the
-    inverter turns into at least ``vg_k``. Either way its row mismatches.
+    Returns ``(t1, t2, u1, u2)``. A cell with ``g_t <= t1`` drives its M1
+    leg to at least ``PRUNE_FACTOR * G_th``, and one with ``g_t >= t2``
+    pulls its M2 divider low enough that the inverter does the same:
+    either way its row mismatches. A cell with ``u1 <= g_t <= u2`` keeps
+    both legs below ``k_a = G_th / (PRUNE_FACTOR * 2 * cols)``; a row of
+    such cells conducts less than ``G_th / PRUNE_FACTOR`` and matches.
     """
-    k = PRUNE_FACTOR * match_threshold_conductance(a)
-    vg_k = _leg_gate_threshold(a.variant, a.ts_params, p, k)
+    g_th = match_threshold_conductance(a)
+    _, reach = _leg_gate_threshold(a.variant, a.ts_params, p,
+                                   PRUNE_FACTOR * g_th)
+    below, _ = _leg_gate_threshold(a.variant, a.ts_params, p,
+                                   g_th / (PRUNE_FACTOR * 2 * a.cols))
     never = np.full(g1.shape, np.inf)
-    if vg_k is None:
-        return -never, never
-    t1 = g1 * (p.v_slhi / vg_k - 1.0)
-    vd_k = p.v_th_inv - (vg_k - p.v_th_inv) / p.inv_gain
-    t2 = g2 * (p.v_slhi / vd_k - 1.0) if vd_k > 0.0 else never
-    return t1, t2
+    t1, t2 = (-never, never) if reach is None else _gate_bounds(g1, g2, reach, p)
+    u1, u2 = _gate_bounds(g1, g2, below, p)
+    return t1, t2, u1, u2
+
+
+def _column_bins(t1: np.ndarray, t2: np.ndarray, u1: np.ndarray,
+                 u2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct edges of one column and its row flags in every bin.
+
+    A row is live at ``g_t`` when ``t1 < g_t < t2`` and quiet when also
+    ``u1 <= g_t <= u2`` (all four are per-row vectors). Each flag turns at
+    one of the edges ``nextafter(t1, inf)``, ``t2``, ``u1`` and
+    ``nextafter(u2, inf)``, so it is constant from one sorted edge up to
+    the next and equals the compares at the bin's lowest value (``-inf``
+    for the first bin). ``live[searchsorted(edges, g_t, "right")]`` is
+    then the strict compare bit for bit, and likewise ``quiet``: (edges +
+    1, rows) tables. Duplicate edges would only add empty bins; dropping
+    them shortens every search.
+    """
+    edges = np.sort(np.concatenate([np.nextafter(t1, np.inf), t2, u1,
+                                    np.nextafter(u2, np.inf)]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    lows = np.append(-np.inf, edges)[:, None]
+    live = (lows > t1) & (lows < t2)
+    return edges, live, live & (lows >= u1) & (lows <= u2)
 
 
 def _v_ml_at_sense(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
@@ -305,37 +348,73 @@ def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
 
     The decisions equal the full kernel's, ``_matched`` applied to
     :func:`row_conductances`, bit for bit; most rows are decided without it.
-    A row's conductance is a sum of non-negative leg conductances, so once
-    one leg reaches ``PRUNE_FACTOR * G_th`` the sum is past the sense
-    threshold whatever the other legs do, and the row mismatches. Each leg
-    is monotone in the divider-transistor conductance ``g_t`` of its
-    column (the M1 leg falls with it, the M2 leg rises through the
-    inverter), so that test is one compare of ``g_t`` with two per-cell
-    thresholds. Only rows that no single leg rejects go through the
-    electrical kernel, with the same float arithmetic as
-    :func:`row_conductances`. When ``PRUNE_FACTOR * G_th`` is beyond a
-    leg's maximum (very long words), no row is pruned.
+    A row's conductance is a sum of non-negative leg conductances, and
+    each leg is monotone in the divider-transistor conductance ``g_t`` of
+    its column (the M1 leg falls with it, the M2 leg rises through the
+    inverter). So threshold compares on ``g_t`` put every (input, row)
+    pair in one of three states:
+
+    - rejected: one leg reaches ``PRUNE_FACTOR * G_th``, so the sum is past
+      the sense threshold whatever the other legs do, and the row
+      mismatches (``g_t <= t1`` or ``g_t >= t2`` in one column);
+    - accepted: not rejected, and every leg of the row conducts less than
+      ``G_th / (PRUNE_FACTOR * 2 * cols)``, so the row conducts less than
+      ``G_th / PRUNE_FACTOR`` and matches (``u1 <= g_t <= u2`` in every
+      column);
+    - ambiguous: neither. Only these pairs go through the electrical
+      kernel, with the same float arithmetic as :func:`row_conductances`.
+
+    The factor ``PRUNE_FACTOR`` on either side dwarfs any rounding error.
+    When ``PRUNE_FACTOR * G_th`` is beyond a leg's maximum (very long
+    words), no row is rejected. Per column, the four thresholds of all rows
+    are sorted once into edges with a table of the live and quiet rows
+    between each pair (:func:`_column_bins`): one ``searchsorted`` and
+    one row gather per input and column give the flags. The tables pay off
+    only for more inputs than a column has bins (``4 * rows + 1``), and
+    they grow with rows squared; for fewer inputs, or tables past
+    ``CHUNK_ELEMENTS`` flags (about 256 / sqrt(cols) rows), the same
+    compares are made directly, column by column.
 
     Inputs are processed in chunks of at most ``CHUNK_ELEMENTS`` input x row
-    x column elements (one input when a single word exceeds it), so memory
-    stays bounded even when every row survives.
+    x column elements (one input when a single word exceeds it), and the
+    kernel takes their ambiguous pairs in slices of at most
+    ``CHUNK_ELEMENTS // cols``, so memory stays bounded even when every
+    pair is ambiguous.
     """
     stimuli = _check_stimuli(a, stimuli)
     g1, g2 = a.conductance_matrices()               # (rows, cols)
-    t1, t2 = _prune_thresholds(a, g1, g2, p)
-    t1, t2 = t1.T.copy(), t2.T.copy()               # (cols, rows)
+    bounds = _prune_thresholds(a, g1, g2, p)        # t1, t2, u1, u2
+    columns = None
+    bins = 4 * a.rows + 1                           # per column, at most
+    if bins <= stimuli.shape[0] and bins * a.rows * a.cols <= CHUNK_ELEMENTS:
+        columns = [_column_bins(*(b[:, c] for b in bounds))
+                   for c in range(a.cols)]
+    t1, t2, u1, u2 = (b.T.copy() for b in bounds)   # (cols, rows)
     out = np.zeros((stimuli.shape[0], a.rows), dtype=bool)
     step = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
+    pair_step = max(1, CHUNK_ELEMENTS // a.cols)
     for start in range(0, stimuli.shape[0], step):
         g_t = transistor_conductance(stimuli[start:start + step], p)  # (m, cols)
-        live = np.ones((g_t.shape[0], a.rows), dtype=bool)
-        for c in range(a.cols):
-            g_col = g_t[:, c, None]
-            live &= g_col > t1[c]
-            live &= g_col < t2[c]
-        i, r = np.nonzero(live)
-        g_row = _row_sum(a, g1[r], g2[r], g_t[i], p)
-        out[start + i, r] = _matched(a, _v_ml_at_sense(a, g_row))
+        if columns is None:
+            live = quiet = True
+            for c in range(a.cols):
+                g = g_t[:, c, None]
+                live = live & (g > t1[c]) & (g < t2[c])
+                quiet = quiet & (g >= u1[c]) & (g <= u2[c])
+            quiet &= live
+        else:
+            live = quiet = True
+            for (edges, live_c, quiet_c), g in zip(columns, g_t.T):
+                b = np.searchsorted(edges, g, "right")
+                live = live & live_c.take(b, axis=0)
+                quiet = quiet & quiet_c.take(b, axis=0)
+        out[start:start + g_t.shape[0]] = quiet
+        i, r = np.divmod(np.flatnonzero(live & ~quiet), a.rows)
+        # often none; slices bound the kernel's memory when a word is long
+        for s in range(0, i.size, pair_step):
+            ii, rr = i[s:s + pair_step], r[s:s + pair_step]
+            g_row = _row_sum(a, g1[rr], g2[rr], g_t[ii], p)
+            out[start + ii, rr] = _matched(a, _v_ml_at_sense(a, g_row))
     return out
 
 

@@ -329,12 +329,16 @@ def cmd_classify(args, config) -> int:
                           f"not --variant {args.variant}")
     ts = TsDeviceParams() if variant == "ts" else None
     family = family_from_json_dict(doc["family"]) if "family" in doc else None
-    tt = TreeTable(
-        table=table,
-        features=tuple(FeatureSpec(f["name"], f["lo"], f["hi"])
-                       for f in doc["features"]),
-        window=VoltageInterval(doc["window"]["lo_V"], doc["window"]["hi_V"]),
-        family=family, variant=variant, ts=ts)
+    try:
+        features = tuple(FeatureSpec(f["name"], float(f["lo"]), float(f["hi"]))
+                         for f in doc["features"])
+        window = VoltageInterval(float(doc["window"]["lo_V"]),
+                                 float(doc["window"]["hi_V"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{args.table}: bad \"features\" or \"window\" "
+                         f"in tree table ({type(e).__name__}: {e})") from e
+    tt = TreeTable(table=table, features=features, window=window,
+                   family=family, variant=variant, ts=ts)
     rows = _read_input_lines(args.inputs, _parse_features)
     cells = lower_to_conductances(table, p, family=family, variant=variant,
                                   ts=ts)

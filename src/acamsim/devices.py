@@ -322,10 +322,12 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
 
     Each pulse lands at ``target + N(0, sigma)`` clipped to the conductance
     window; the loop stops once the read-back error is within ``tol``.
-    Deterministic for a given ``seed``. Raises :class:`DomainError` for a
-    non-finite or non-positive ``tol`` and a non-finite or negative
-    ``sigma``, and :class:`ProgrammingError` carrying the best conductance
-    reached if ``max_iters`` pulses are not enough.
+    Deterministic for a given ``seed``, which seeds
+    ``np.random.default_rng``. Raises :class:`DomainError` for a
+    non-finite or non-positive ``tol``, a non-finite or negative ``sigma``
+    and a seed numpy rejects (a negative entry, say), and
+    :class:`ProgrammingError` carrying the best conductance reached if
+    ``max_iters`` pulses are not enough.
     """
     if not (p.g_min <= target <= p.g_max):
         raise DomainError(
@@ -337,7 +339,11 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
     if max_iters < 1:
         raise DomainError("max_iters must be at least 1")
 
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as e:  # e.g. a negative seed entry
+        raise DomainError(
+            f"seed {seed!r} is not a valid generator seed: {e}") from e
     best = None
     for i in range(1, max_iters + 1):
         # min/max on Python floats: np.clip on a scalar costs several us a pulse

@@ -1,10 +1,13 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from acamsim.array import (ArraySpec, MAX_WORD_LENGTH_CAP, PRUNE_FACTOR,
-                           Parasitics, _matched, _v_ml_at_sense,
+import acamsim.array
+from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_WORD_LENGTH_CAP,
+                           PRUNE_FACTOR, Parasitics, _column_bins, _matched,
+                           _v_ml_at_sense,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
                            match_threshold_conductance, max_word_length,
@@ -12,7 +15,13 @@ from acamsim.array import (ArraySpec, MAX_WORD_LENGTH_CAP, PRUNE_FACTOR,
                            sweep_column)
 from acamsim.cell import (CellConfig, VoltageInterval, achievable_window,
                           bounds_from_conductance, conductance_from_bounds)
+from acamsim.devices import (pulldown_conductance, transistor_conductance,
+                             ts_conductance_off_curve)
 from acamsim.errors import (DomainError, EmptyIntervalError, NoDischargeError)
+from acamsim.tables import lower_to_conductances
+from acamsim.trees import tree_to_cam
+
+from test_trees import make_random_tree
 
 REFERENCE_INTERVAL = VoltageInterval(0.33, 0.43)
 
@@ -331,7 +340,11 @@ def test_non_finite_stimulus_rejected(params):
 # ---------------------------------------------------------------------------
 
 def _full_kernel(a, stims, p):
-    return _matched(a, _v_ml_at_sense(a, row_conductances(a, stims, p)))
+    # in slices of inputs: the oracle holds every input x row x column at once
+    n = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
+    return np.vstack([
+        _matched(a, _v_ml_at_sense(a, row_conductances(a, stims[s:s + n], p)))
+        for s in range(0, len(stims), n)])
 
 
 def _random_cells(rng, p, variant, ts, rows, cols):
@@ -355,11 +368,11 @@ def _random_cells(rng, p, variant, ts, rows, cols):
     return cells
 
 
-def _differential_stimuli(rng, a, p):
+def _differential_stimuli(rng, a, p, sweep_rows=None):
     """Dense uniform words, in-row words, and every stored edge +-20 mV at 1 mV.
 
     Edge sweeps move one column of a row's midpoint word; they include the
-    exact edge, 0 V and 1 V.
+    exact edge, 0 V and 1 V. ``sweep_rows`` limits them to the first rows.
     """
     bounds = [[bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
                                        a.ts_params)
@@ -371,7 +384,7 @@ def _differential_stimuli(rng, a, p):
     pick = rng.integers(a.rows, size=500)
     parts.append(lo[pick] + rng.uniform(size=(500, a.cols)) * (hi - lo)[pick])
     offsets = np.arange(-20, 21) * 1e-3
-    for r in range(a.rows):
+    for r in range(a.rows if sweep_rows is None else sweep_rows):
         mid = 0.5 * (lo[r] + hi[r])
         for c in range(a.cols):
             vals = np.concatenate([lo[r, c] + offsets, hi[r, c] + offsets,
@@ -382,8 +395,8 @@ def _differential_stimuli(rng, a, p):
     return np.vstack(parts)
 
 
-def _assert_same_decisions(a, p, rng):
-    stims = _differential_stimuli(rng, a, p)
+def _assert_same_decisions(a, p, rng, sweep_rows=None):
+    stims = _differential_stimuli(rng, a, p, sweep_rows)
     got = search_many(a, stims, p)
     want = _full_kernel(a, stims, p)
     assert got.shape == want.shape
@@ -428,8 +441,8 @@ class TestPrunedSearch:
             _assert_same_decisions(a, p, rng)
 
     def test_memory_is_bounded_when_no_row_is_pruned(self, params):
-        # wildcard rows match every word in the window, so every row goes
-        # through the kernel; the full-kernel peak here is about 190 MiB
+        # wildcard rows match every word in the window, so no row is
+        # rejected; the full-kernel peak here is about 190 MiB
         rows, cols, n = 16, 16, 8192
         a = make_array([[CellConfig(params.g_min, params.g_max)] * cols] * rows)
         w = achievable_window(params)
@@ -442,3 +455,206 @@ class TestPrunedSearch:
             tracemalloc.stop()
         assert matched.all()
         assert peak < 48 * 2 ** 20
+
+    def test_memory_is_bounded_when_every_pair_reaches_the_kernel(
+            self, params, monkeypatch):
+        # a factor this large rejects nothing and accepts nothing
+        monkeypatch.setattr(acamsim.array, "PRUNE_FACTOR", 1e30)
+        pairs = _count_kernel_pairs(monkeypatch)
+        rows, cols, n = 16, 16, 8192
+        rng = np.random.default_rng(41)
+        a = make_array(_random_cells(rng, params, "mosfet", None, rows, cols))
+        stims = rng.uniform(0.0, 1.0, size=(n, cols))
+        tracemalloc.start()
+        try:
+            matched = search_many(a, stims, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(pairs) == n * rows
+        assert max(pairs) <= CHUNK_ELEMENTS // cols
+        assert peak < 48 * 2 ** 20
+        assert np.array_equal(matched, _full_kernel(a, stims, params))
+
+    def test_kernel_slices_pairs_of_a_word_past_the_chunk(self, params,
+                                                          monkeypatch):
+        rng = np.random.default_rng(67)
+        a = make_array(_random_cells(rng, params, "mosfet", None, 16, 16))
+        stims = rng.uniform(0.0, 1.0, size=(40, 16))
+        want = _full_kernel(a, stims, params)
+        # one 16 x 16 word is 256 elements: four times this chunk
+        monkeypatch.setattr(acamsim.array, "CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr(acamsim.array, "PRUNE_FACTOR", 1e30)
+        pairs = _count_kernel_pairs(monkeypatch)
+        assert np.array_equal(search_many(a, stims, params), want)
+        assert sum(pairs) == 40 * 16 and max(pairs) == 64 // 16
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    @pytest.mark.parametrize("cols", [1, 4, 16])
+    @pytest.mark.parametrize("sides", ["both", "m1", "m2"])
+    def test_rows_of_legs_all_part_way_on(self, params, ts_params, variant,
+                                          cols, sides):
+        # row k conducts f_k * G_th, shared evenly by the legs of ``sides``
+        # (the others sit at a 0.05 V gate): only rows with f_k below
+        # 1 / PRUNE_FACTOR may be accepted without the kernel, and rows
+        # past f_k = 1 mismatch
+        ts = ts_params if variant == "ts" else None
+        probe = make_array([[CellConfig(params.g_min, params.g_max)] * cols],
+                           variant=variant, ts_params=ts)
+        g_th = match_threshold_conductance(probe)
+        fracs = np.linspace(0.05, 3.0, 60)
+        on = {"both": (True, True), "m1": (True, False), "m2": (False, True)}
+        g_t = transistor_conductance(0.4, params)
+        g1, g2 = [], []
+        for f in fracs:
+            g_leg = f * g_th / (sum(on[sides]) * cols)
+            v1, v2 = (_gate_voltage_at(g_leg, variant, params, ts) if side
+                      else 0.05 for side in on[sides])
+            v_div = params.v_th_inv - (v2 - params.v_th_inv) / params.inv_gain
+            g1.append([g_t * v1 / (params.v_slhi - v1)] * cols)
+            g2.append([g_t * v_div / (params.v_slhi - v_div)] * cols)
+        a = ArraySpec(g1=g1, g2=g2, variant=variant, ts_params=ts)
+        stims = np.full((4 * len(fracs) + 1, cols), 0.4)
+        assert np.allclose(row_conductances(a, stims[:1], params)[0] / g_th,
+                           fracs, rtol=1e-3)
+        want = _full_kernel(a, stims, params)
+        assert 0 < want[0].sum() < len(fracs)
+        # one word takes the direct compares, a batch of one more word than
+        # a column has bins the lookup tables
+        assert np.array_equal(search_many(a, stims[:1], params), want[:1])
+        assert np.array_equal(search_many(a, stims, params), want)
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    @pytest.mark.parametrize("rows", [70, 300])
+    def test_equals_full_kernel_on_tall_tables_with_repeated_rows(
+            self, params, ts_params, variant, rows):
+        # 70 rows take the per-column lookup tables for the whole batch of
+        # about 6k inputs (5 chunks) and the direct compares for 200
+        # inputs, fewer than a column's 281 bins; 300 rows are past the
+        # table size and always take the direct compares
+        ts = ts_params if variant == "ts" else None
+        rng = np.random.default_rng(43 + rows)
+        cells = _random_cells(rng, params, variant, ts, 20, 3)
+        cells = [cells[k] for k in rng.integers(len(cells), size=rows)]
+        a = make_array(cells, variant=variant, ts_params=ts)
+        assert ((4 * rows + 1) * rows * 3 <= CHUNK_ELEMENTS) == (rows == 70)
+        stims = _differential_stimuli(rng, a, params, sweep_rows=20)
+        want = _full_kernel(a, stims, params)
+        assert np.array_equal(search_many(a, stims, params), want)
+        assert np.array_equal(search_many(a, stims[:200], params), want[:200])
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_tree_table_settles_lattice_inputs_without_the_kernel(
+            self, params, ts_params, variant, monkeypatch):
+        ts = ts_params if variant == "ts" else None
+        tree = make_random_tree(random.Random(132), 4, 8)
+        tt = tree_to_cam(tree, params, variant=variant, ts=ts)
+        assert tt.table.n_rows == 38
+        a = make_array(lower_to_conductances(tt.table, params, variant=variant,
+                                             ts=ts),
+                       variant=variant, ts_params=ts)
+        rng = np.random.default_rng(47)
+        lattice = (rng.integers(16, size=(4096, 4)) + 0.5) / 16
+        uniform = rng.uniform(size=(4096, 4))
+        # each lattice threshold, one ulp and 1e-3 either side, per feature
+        cuts = np.arange(1, 16) / 16
+        near = np.concatenate([cuts, np.nextafter(cuts, 0.0),
+                               np.nextafter(cuts, 1.0), cuts - 1e-3, cuts + 1e-3])
+        edges = lattice[:4 * len(near)].copy()
+        for c in range(4):
+            edges[c * len(near):(c + 1) * len(near), c] = near
+        stims = tt.encode_many(np.vstack([lattice, uniform, edges]))
+        want = _full_kernel(a, stims, params)
+        pairs = _count_kernel_pairs(monkeypatch)
+        assert np.array_equal(search_many(a, stims, params), want)
+        # each input matches one row; without the accept side that row
+        # would go through the kernel
+        assert sum(pairs) <= len(stims) // 10
+        if variant == "mosfet":
+            # on ts, a midpoint half a step below a threshold sits in the
+            # dead zone under it, where one leg is part-way on
+            pairs.clear()
+            search_many(a, stims[:4096], params)
+            assert sum(pairs) == 0
+
+
+def _gate_voltage_at(g_leg, variant, p, ts):
+    """Gate voltage at which one leg conducts ``g_leg`` (bisection)."""
+    def leg(v):
+        if variant == "mosfet":
+            return pulldown_conductance(v, p)
+        return ts_conductance_off_curve(v, ts)
+    lo, hi = 0.0, p.v_slhi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if leg(mid) < g_leg:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _count_kernel_pairs(monkeypatch) -> list:
+    """Patch the kernel so that it records how many pairs each call sums."""
+    pairs = []
+    kernel = acamsim.array._row_sum
+
+    def counted(a, g1, g2, g_t, p):
+        out = kernel(a, g1, g2, g_t, p)
+        pairs.append(out.size)
+        return out
+    monkeypatch.setattr(acamsim.array, "_row_sum", counted)
+    return pairs
+
+
+class TestColumnBins:
+    """The per-column lookup equals the strict compares it replaces."""
+
+    @staticmethod
+    def _probes(values):
+        finite = values[np.isfinite(values)]
+        with np.errstate(over="ignore"):  # +-max float steps to +-inf
+            return np.concatenate([values, np.nextafter(finite, -np.inf),
+                                   np.nextafter(finite, np.inf),
+                                   np.nextafter(np.nextafter(finite, np.inf),
+                                                np.inf),
+                                   [-np.inf, np.inf, 0.0, -0.0]])
+
+    def _check(self, t1, t2, u1, u2):
+        edges, live, quiet = _column_bins(t1, t2, u1, u2)
+        assert np.all(edges[1:] > edges[:-1])  # sorted, no duplicates
+        assert live.shape == quiet.shape == (len(edges) + 1, len(t1))
+        g = self._probes(np.concatenate([t1, t2, u1, u2, edges]))[:, None]
+        b = np.searchsorted(edges, g[:, 0], "right")
+        want_live = (g > t1) & (g < t2)
+        assert np.array_equal(live[b], want_live)
+        assert np.array_equal(quiet[b], want_live & (g >= u1) & (g <= u2))
+
+    def test_duplicate_thresholds(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            pool = rng.uniform(1e-6, 1e-3, size=rng.integers(1, 6))
+            t1, t2, u1, u2 = (rng.choice(pool, size=40) for _ in range(4))
+            self._check(t1, t2, u1, u2)
+            self._check(t1, t1, t1, t1)
+
+    def test_infinite_thresholds(self):
+        # +-inf is the "never prune" and "never quiet" case
+        rng = np.random.default_rng(59)
+        n = 12
+        for _ in range(20):
+            pool = np.array([-np.inf, np.inf, 0.0, 2e-5, 7e-5])
+            t1, t2, u1, u2 = (rng.choice(pool, size=n) for _ in range(4))
+            self._check(t1, t2, u1, u2)
+        never = np.full(n, np.inf)
+        self._check(-never, never, never, -never)
+        self._check(-never, never, -never, never)
+
+    def test_equals_compares_of_real_thresholds(self, params, ts_params):
+        rng = np.random.default_rng(61)
+        for variant, ts in (("mosfet", None), ("ts", ts_params)):
+            a = make_array(_random_cells(rng, params, variant, ts, 30, 4),
+                           variant=variant, ts_params=ts)
+            bounds = acamsim.array._prune_thresholds(a, a.g1, a.g2, params)
+            for c in range(a.cols):
+                self._check(*(b[:, c] for b in bounds))

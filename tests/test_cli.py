@@ -325,6 +325,43 @@ class TestClassify:
                      str(inputs)]) == 2
         assert "in.csv: line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        lambda d: d.pop("features"),
+        lambda d: d.pop("window"),
+        lambda d: d.update(features=7),
+        lambda d: d.update(features=["x"]),
+        lambda d: d["features"][0].pop("hi"),
+        lambda d: d["features"][1].update(lo="low"),
+        lambda d: d["window"].pop("lo_V"),
+        lambda d: d.update(window=[0.3, 0.6]),
+        lambda d: d["window"].update(hi_V=None),
+    ])
+    def test_malformed_features_or_window_is_parse_error(self, tmp_path,
+                                                         capsys, change):
+        doc = json.loads(open(compile_tree(tmp_path, "ok")).read())
+        change(doc)
+        table = tmp_path / "bad.json"
+        table.write_text(json.dumps(doc))
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n")
+        out = tmp_path / "kb"
+        capsys.readouterr()
+        assert main(["--out", str(out), "classify", str(table),
+                     str(inputs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}: ") and err.count("\n") == 1
+        assert not (out / "labels.csv").exists()
+
+    def test_tree_table_without_features_is_parse_error(self, tmp_path, capsys):
+        table = tmp_path / "bare.json"
+        table.write_text(json.dumps({"kind": "tree_table", "table": {
+            "width_bits": None, "bits_per_cell": None, "rows": []}}))
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n")
+        assert main(["--out", str(tmp_path / "kf"), "classify", str(table),
+                     str(inputs)]) == 2
+        assert "bare.json" in capsys.readouterr().err
+
     def test_ts_variant_labels_lines(self, tmp_path):
         tree = tmp_path / "tree.json"
         tree.write_text(json.dumps(TREE_DOC))
@@ -534,6 +571,40 @@ class TestClassify:
         assert main(["--out", out, "classify", os.path.join(out, "table.json"),
                      str(inputs)]) == 0
         assert (tmp_path / "k3" / "labels.csv").read_text() == "label\n"
+
+
+class TestSeed:
+    @pytest.fixture
+    def command(self, request, tmp_path, rules_file):
+        """Arguments of each --program-noise command, after global flags."""
+        inputs = tmp_path / "in.txt"
+        if request.param == "sweep":
+            return ["sweep", "--cell", "40,80", "--program-noise"]
+        if request.param == "search":
+            out = str(tmp_path / "rules")
+            assert main(["--out", out, "compile", rules_file, "--bits", "4"]) == 0
+            inputs.write_text("385\n1000\n")
+            return ["search", os.path.join(out, "table.json"), str(inputs),
+                    "--program-noise"]
+        inputs.write_text("0.2,0.9\n0.8,0.1\n")
+        return ["classify", compile_tree(tmp_path, "tree"), str(inputs),
+                "--program-noise"]
+
+    @pytest.mark.parametrize("command", ["sweep", "search", "classify"],
+                             indirect=True)
+    def test_negative_seed_is_domain_error(self, tmp_path, capsys, command):
+        capsys.readouterr()
+        assert main(["--seed", "-1", "--out", str(tmp_path / "o")]
+                    + command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed (-1, 0, 0, 0) is not a valid")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "search", "classify"],
+                             indirect=True)
+    def test_seed_beyond_32_bits_programs(self, tmp_path, command):
+        assert main(["--seed", str(2 ** 32 + 1), "--out", str(tmp_path / "o")]
+                    + command) == 0
 
 
 class TestCost:

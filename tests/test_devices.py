@@ -242,6 +242,22 @@ class TestProgramMemristorRegression:
             program_memristor(40e-6, 0, max_iters=10, p=params, **args)
 
 
+    @pytest.mark.parametrize("seed", [-1, (-1, 0, 0, 0), (3, -2), 1.5,
+                                      "seven"])
+    def test_seed_numpy_rejects_is_domain_error(self, params, seed):
+        with pytest.raises(DomainError, match="seed"):
+            program_memristor(40e-6, seed, tol=1e-6, max_iters=10, p=params)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                                      (2 ** 32, 1, 0, 1),
+                                      (0, 2 ** 40, 7, 2 ** 63)])
+    def test_large_seed_entries_keep_their_stream(self, params, seed):
+        for target in (params.g_min, 40e-6, 97.3e-6):
+            r = program_memristor(target, seed, 1e-6, 100, params)
+            assert (r.state.g, r.iterations) == clip_reference_program(
+                target, seed, 1e-6, 100, params)
+
+
 class TestDeviceParams:
     def test_json_round_trip(self, params):
         doc = params.to_json_dict()
