@@ -4,10 +4,10 @@ from .array import (ArraySpec, Parasitics, RowResult, SearchResult,
                     analytic_range_shift, discharge_latency,
                     effective_bounds_in_array, make_array, max_word_length,
                     search, search_many, sweep_column)
-from .cell import (CellConfig, LevelCode, VoltageInterval, achievable_window,
+from .cell import (CellConfig, VoltageInterval, achievable_window,
                    bounds_from_conductance, calibrate, calibrated_defaults,
                    conductance_from_bounds, quantize_levels)
-from .cost import (AreaParams, CostReport, EnergyParams, baseline_comparison,
+from .cost import (AreaParams, CostReport, EnergyParams,
                    compare_range_implementations, energy_per_search)
 from .devices import (DeviceParams, MemristorState, TsDeviceParams,
                       divider_gate_voltage, program_memristor,

@@ -6,15 +6,18 @@ pull-down legs of all its cells; the row matches when the ML is still above
 
     V_ML(t) = v_precharge * exp(-G_row * t / C_ML),   C_ML = cols*c_ml + c_sense
 
-so the sense criterion is equivalent to a row-conductance threshold
-``G_th = C_ML * ln(1/sense_frac) / t_sense``. Sub-threshold leakage of the
+so the sense criterion is a row-conductance threshold
+``G_th = C_ML * ln(1/sense_frac) / t_sense``: a row matches when
+``G_row <= G_th``. Every match decision is made on ``G_th`` (``_matched``);
+``V_ML`` at the sense instant is only reported. Sub-threshold leakage of the
 matching cells adds to G_row and slightly moves every stored boundary as the
 word gets longer; ``effective_bounds_in_array`` measures that shift and
 ``analytic_range_shift`` estimates it from the sub-threshold sensitivity.
 
 The ``ts`` variant replaces the pull-down transistors with volatile
 threshold-switching pull-ups: the ML starts low and is charged on mismatch,
-so the sense comparison is inverted.
+so the sense comparison is inverted: ``G_th = C_ML * ln(1/(1 - sense_frac))
+/ t_sense``, and a row matches when ``G_row < G_th``.
 """
 
 from __future__ import annotations
@@ -297,11 +300,12 @@ def _v_ml_at_sense(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
     return a.v_precharge * (1.0 - np.exp(-x))
 
 
-def _matched(a: ArraySpec, v_ml: np.ndarray) -> np.ndarray:
-    level = a.sense_frac * a.v_precharge
+def _matched(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
+    """Match decisions from row conductances: the one sense rule."""
+    g_th = match_threshold_conductance(a)
     if a.variant == "mosfet":
-        return v_ml >= level  # exactly at threshold counts as a match
-    return v_ml < level
+        return g_row <= g_th  # exactly at threshold counts as a match
+    return g_row < g_th
 
 
 def _crossing_latency(a: ArraySpec, g_row: float) -> float | None:
@@ -313,12 +317,8 @@ def _crossing_latency(a: ArraySpec, g_row: float) -> float | None:
     """
     if g_row <= 0.0:
         return None
-    if a.variant == "mosfet":
-        log_term = math.log(1.0 / a.sense_frac)
-    else:
-        log_term = math.log(1.0 / (1.0 - a.sense_frac))
     r_wire = a.cols * a.parasitics.r_ml
-    return a.c_ml_total * log_term * (1.0 / g_row + r_wire)
+    return match_threshold_conductance(a) * a.t_sense * (1.0 / g_row + r_wire)
 
 
 def search(a: ArraySpec, stimulus, p: DeviceParams) -> SearchResult:
@@ -332,7 +332,7 @@ def search(a: ArraySpec, stimulus, p: DeviceParams) -> SearchResult:
         raise DomainError("stimulus must be a flat voltage vector")
     g_row = row_conductances(a, stimulus[None, :], p)[0]
     v_ml = _v_ml_at_sense(a, g_row)
-    matched = _matched(a, v_ml)
+    matched = _matched(a, g_row)
     rows = []
     for r in range(a.rows):
         lat = None
@@ -414,7 +414,7 @@ def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
         for s in range(0, i.size, pair_step):
             ii, rr = i[s:s + pair_step], r[s:s + pair_step]
             g_row = _row_sum(a, g1[rr], g2[rr], g_t[ii], p)
-            out[start + ii, rr] = _matched(a, _v_ml_at_sense(a, g_row))
+            out[start + ii, rr] = _matched(a, g_row)
     return out
 
 
@@ -436,18 +436,23 @@ def discharge_latency(a: ArraySpec, stimulus, row: int, p: DeviceParams) -> floa
 # in-array effective bounds and range shift
 # ---------------------------------------------------------------------------
 
-def _row_midpoints(a: ArraySpec, row: int, p: DeviceParams) -> np.ndarray:
-    """Midpoints of the intervals stored in the cells of one row."""
-    return np.array([bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
-                                             a.ts_params).mid
-                     for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())])
+def _column_sweep(a: ArraySpec, row: int, col: int, p: DeviceParams,
+                  step: float, bias) -> tuple[np.ndarray, np.ndarray]:
+    """Grid over [0, 1] V at ``step``, and one stimulus per grid point.
 
-
-def _row_matches_at(a: ArraySpec, p: DeviceParams, row: int, col: int,
-                    bias: np.ndarray, v: float) -> bool:
-    stim = bias.copy()
-    stim[col] = v
-    return bool(search_many(a, stim[None, :], p)[0, row])
+    Each stimulus is ``bias`` (by default the midpoints of the intervals
+    stored in ``row``) with column ``col`` at the grid voltage.
+    """
+    if step <= 0:
+        raise DomainError("step must be positive")
+    if bias is None:
+        bias = [bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
+                                        a.ts_params).mid
+                for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())]
+    grid = np.arange(0.0, 1.0 + step / 2, step)
+    stims = np.tile(np.asarray(bias, dtype=float), (len(grid), 1))
+    stims[:, col] = grid
+    return grid, stims
 
 
 def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
@@ -462,24 +467,18 @@ def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
     """
     if not (0 <= row < a.rows and 0 <= col < a.cols):
         raise DomainError("row/col outside array")
-    if step <= 0:
-        raise DomainError("step must be positive")
-    bias = (_row_midpoints(a, row, p) if bias is None
-            else np.asarray(bias, dtype=float))
-
-    grid = np.arange(0.0, 1.0 + step / 2, step)
-    stims = np.tile(bias, (len(grid), 1))
-    stims[:, col] = grid
-    matched = search_many(a, stims, p)[:, row]
-    idx = np.nonzero(matched)[0]
+    grid, stims = _column_sweep(a, row, col, p, step, bias)
+    idx = np.nonzero(search_many(a, stims, p)[:, row])[0]
     if len(idx) == 0:
         raise EmptyIntervalError(
             f"cell ({row}, {col}) matches nowhere on the sweep grid")
+    stim = stims[:1].copy()  # one word, re-used by every bisection step
 
     def refine(v_match: float, v_miss: float) -> float:
         for _ in range(40):
             mid = 0.5 * (v_match + v_miss)
-            if _row_matches_at(a, p, row, col, bias, mid):
+            stim[0, col] = mid
+            if search_many(a, stim, p)[0, row]:
                 v_match = mid
             else:
                 v_miss = mid
@@ -551,14 +550,10 @@ def sweep_column(a: ArraySpec, col: int, p: DeviceParams, step: float = 0.002,
     """
     if not (0 <= col < a.cols):
         raise DomainError("col outside array")
-    bias = (_row_midpoints(a, 0, p) if bias is None
-            else np.asarray(bias, dtype=float))
-    grid = np.arange(0.0, 1.0 + step / 2, step)
-    stims = np.tile(bias, (len(grid), 1))
-    stims[:, col] = grid
+    grid, stims = _column_sweep(a, 0, col, p, step, bias)
     g_row = row_conductances(a, stims, p)
     v_ml = _v_ml_at_sense(a, g_row)
-    matched = _matched(a, v_ml)
+    matched = _matched(a, g_row)
     out = []
     for i, v in enumerate(grid):
         for r in range(a.rows):

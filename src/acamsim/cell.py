@@ -59,19 +59,6 @@ class CellConfig:
     g_m2: float  # upper-bound memristor
 
 
-@dataclass(frozen=True)
-class LevelCode:
-    """One discrete level of a code family: index and its match interval."""
-
-    n_levels: int
-    index: int
-    interval: VoltageInterval
-
-    def __post_init__(self):
-        if not (0 <= self.index < self.n_levels):
-            raise DomainError(f"level index {self.index} outside [0, {self.n_levels})")
-
-
 # ---------------------------------------------------------------------------
 # conductance -> bounds
 # ---------------------------------------------------------------------------
@@ -228,7 +215,7 @@ def achievable_window(p: DeviceParams, variant: str = "mosfet",
 # ---------------------------------------------------------------------------
 
 def quantize_levels(n_levels: int, window: VoltageInterval,
-                    guard: float) -> list[LevelCode]:
+                    guard: float) -> list[VoltageInterval]:
     """Split ``window`` into ``n_levels`` evenly pitched disjoint intervals.
 
     Each level keeps ``guard`` volts of separation (guard/2 per side); level
@@ -243,12 +230,9 @@ def quantize_levels(n_levels: int, window: VoltageInterval,
             f"{n_levels} levels with {guard * 1e3:.1f} mV guards do not fit "
             f"in a {window.width * 1e3:.1f} mV window")
     pitch = window.width / n_levels
-    levels = []
-    for i in range(n_levels):
-        lo = window.lo + i * pitch + guard / 2.0
-        hi = window.lo + (i + 1) * pitch - guard / 2.0
-        levels.append(LevelCode(n_levels, i, VoltageInterval(lo, hi)))
-    return levels
+    return [VoltageInterval(window.lo + i * pitch + guard / 2.0,
+                            window.lo + (i + 1) * pitch - guard / 2.0)
+            for i in range(n_levels)]
 
 
 def v_of_level(index: int, n_levels: int, window: VoltageInterval) -> float:

@@ -24,9 +24,8 @@ import numpy as np
 from .array import make_array, search_many, sweep_column
 from .cell import (CellConfig, VoltageInterval, calibrate,
                    calibrated_defaults)
-from .cost import (AreaParams, EnergyParams, baseline_comparison,
-                   compare_range_implementations, energy_per_search,
-                   REFERENCE_TCAM_CELLS)
+from .cost import (AreaParams, EnergyParams, compare_range_implementations,
+                   energy_per_search, REFERENCE_TCAM_CELLS)
 from .devices import DeviceParams, TsDeviceParams, program_memristor
 from .errors import (AcamError, CalibrationError, DomainError, ParseError,
                      ProgrammingError)
@@ -89,8 +88,21 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _checked(path: str, what: str, parse, doc):
+    """``parse(doc)``, where a document of the wrong shape (a missing key, a
+    value of the wrong type) is a :class:`ParseError` naming ``path``."""
+    try:
+        return parse(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: bad {what} ({type(e).__name__}: {e})") from e
+
+
+def _config_path(args) -> str | None:
+    return args.config or os.environ.get("ACAM_CONFIG")
+
+
 def _load_config(args) -> dict:
-    path = args.config or os.environ.get("ACAM_CONFIG")
+    path = _config_path(args)
     if not path:
         return {}
     doc = _read_json(path)
@@ -99,23 +111,20 @@ def _load_config(args) -> dict:
     return doc
 
 
+def _config_section(args, config: dict, name: str, cls):
+    """``cls`` read from the ``name`` section of the config (defaults if absent)."""
+    return _checked(_config_path(args), f'"{name}" section', cls.from_json_dict,
+                    config.get(name, {}))
+
+
 def _device_params(args, config: dict) -> DeviceParams:
     if getattr(args, "device_params", None):
-        return DeviceParams.from_json_dict(_read_json(args.device_params))
+        return _checked(args.device_params, "device parameters",
+                        DeviceParams.from_json_dict,
+                        _read_json(args.device_params))
     if "device" in config:
-        return DeviceParams.from_json_dict(config["device"])
+        return _config_section(args, config, "device", DeviceParams)
     return calibrated_defaults()
-
-
-def _energy_params(args, config: dict) -> EnergyParams:
-    ep = EnergyParams.from_json_dict(config.get("energy", {}))
-    if getattr(args, "no_dac", False):
-        ep = ep.without_dac()
-    return ep
-
-
-def _area_params(config: dict) -> AreaParams:
-    return AreaParams.from_json_dict(config.get("area", {}))
 
 
 def _out_path(args, name: str) -> str:
@@ -137,14 +146,15 @@ def _maybe_program(cells, p, seed):
     return out
 
 
-def _table_array(table: CamTable, p, args):
-    """Array storing ``table`` lowered for ``--variant`` (programmed with
-    write noise under ``--program-noise``)."""
-    ts = TsDeviceParams() if args.variant == "ts" else None
-    cells = lower_to_conductances(table, p, variant=args.variant, ts=ts)
+def _table_array(table: CamTable, p, args, variant: str, family=None):
+    """Array storing ``table`` lowered for ``variant`` (programmed with write
+    noise under ``--program-noise``)."""
+    ts = TsDeviceParams() if variant == "ts" else None
+    cells = lower_to_conductances(table, p, family=family, variant=variant,
+                                  ts=ts)
     if args.program_noise:
         cells = _maybe_program(cells, p, args.seed)
-    return make_array(cells, variant=args.variant, ts_params=ts)
+    return make_array(cells, variant=variant, ts_params=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +244,7 @@ def _load_compiled(path: str):
     doc = _read_json(path)
     if not isinstance(doc, dict) or "table" not in doc:
         raise ParseError(f"{path}: not a compiled table document")
-    return table_from_json_dict(doc["table"]), doc
+    return _checked(path, '"table"', table_from_json_dict, doc["table"]), doc
 
 
 def cmd_sweep(args, config) -> int:
@@ -250,7 +260,7 @@ def cmd_sweep(args, config) -> int:
         if not args.table:
             raise DomainError("sweep needs a table file or --cell G1_US,G2_US")
         table, _ = _load_compiled(args.table)
-        a = _table_array(table, p, args)
+        a = _table_array(table, p, args, args.variant)
     if not (0 <= args.column < a.cols):
         raise DomainError(f"--column {args.column} outside [0, {a.cols})")
     samples = sweep_column(a, args.column, p, step=step)
@@ -275,7 +285,7 @@ def cmd_search(args, config) -> int:
     table, _ = _load_compiled(args.table)
     if table.bits_per_cell is None:
         raise DomainError("search needs a digit table (compile with --bits)")
-    a = _table_array(table, p, args)
+    a = _table_array(table, p, args, args.variant)
     family = default_level_family(1 << table.bits_per_cell, p,
                                   a.variant, a.ts_params)
     values = [v for _, v in _read_input_lines(args.inputs, int)]
@@ -327,24 +337,18 @@ def cmd_classify(args, config) -> int:
     if args.variant not in (None, variant):
         raise DomainError(f"table was compiled for --variant {variant}, "
                           f"not --variant {args.variant}")
-    ts = TsDeviceParams() if variant == "ts" else None
-    family = family_from_json_dict(doc["family"]) if "family" in doc else None
-    try:
-        features = tuple(FeatureSpec(f["name"], float(f["lo"]), float(f["hi"]))
-                         for f in doc["features"])
-        window = VoltageInterval(float(doc["window"]["lo_V"]),
-                                 float(doc["window"]["hi_V"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{args.table}: bad \"features\" or \"window\" "
-                         f"in tree table ({type(e).__name__}: {e})") from e
-    tt = TreeTable(table=table, features=features, window=window,
-                   family=family, variant=variant, ts=ts)
+    family = (_checked(args.table, '"family"', family_from_json_dict,
+                       doc["family"]) if "family" in doc else None)
+    features, window = _checked(
+        args.table, '"features" or "window" in tree table', lambda d: (
+            tuple(FeatureSpec(f["name"], float(f["lo"]), float(f["hi"]))
+                  for f in d["features"]),
+            VoltageInterval(float(d["window"]["lo_V"]),
+                            float(d["window"]["hi_V"]))), doc)
     rows = _read_input_lines(args.inputs, _parse_features)
-    cells = lower_to_conductances(table, p, family=family, variant=variant,
-                                  ts=ts)
-    if args.program_noise:
-        cells = _maybe_program(cells, p, args.seed)
-    a = make_array(cells, variant=variant, ts_params=ts)
+    a = _table_array(table, p, args, variant, family)
+    tt = TreeTable(table=table, features=features, window=window,
+                   family=family, variant=variant, ts=a.ts_params)
     results = _classify_rows(tt, a, [x for _, x in rows], p)
     lines = ["label"]
     failed = 0
@@ -363,16 +367,16 @@ def cmd_classify(args, config) -> int:
 
 
 def cmd_cost(args, config) -> int:
-    ep = _energy_params(args, config)
-    ap = _area_params(config)
+    ep = _config_section(args, config, "energy", EnergyParams)
+    if args.no_dac:
+        ep = ep.without_dac()
+    ap = _config_section(args, config, "area", AreaParams)
     if args.rule:
         lo, hi, width = (int(x) for x in args.rule.split(","))
         rule = RangeRule(lo, hi, width, "rule")
         bits = args.compare_bits or [3, 4, 8]
-        baseline_cells = args.tcam_baseline_cells
-        report = compare_range_implementations(rule, bits, ap, ep,
-                                               tcam_cells=baseline_cells)
-        report = baseline_comparison(report)
+        report = compare_range_implementations(
+            rule, bits, ap, ep, tcam_cells=args.tcam_baseline_cells)
     else:
         if args.table:
             table, _ = _load_compiled(args.table)

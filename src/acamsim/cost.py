@@ -13,7 +13,7 @@ what our own ternary expansion produces for the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .tables import RangeRule, compile_rule
@@ -28,6 +28,18 @@ REFERENCE_TCAM_WIDTH = 16
 REFERENCE_TCAM_CELLS = REFERENCE_TCAM_ROWS * REFERENCE_TCAM_WIDTH
 
 _SCALING_MODES = ("per_cell", "per_row", "per_column", "fixed")
+
+
+def _to_json(params) -> dict:
+    return {key: getattr(params, name)
+            for name, key in params._JSON_FIELDS.items()}
+
+
+def _kwargs_from_json(cls, doc: dict) -> dict:
+    """Constructor arguments for the keys of ``doc`` that ``cls._JSON_FIELDS``
+    names; other keys are ignored, and absent ones keep their defaults."""
+    names = {key: name for name, key in cls._JSON_FIELDS.items()}
+    return {names[key]: value for key, value in doc.items() if key in names}
 
 
 @dataclass(frozen=True)
@@ -52,15 +64,23 @@ class EnergyParams:
     mode_other: str = "fixed"
     mode_dac: str = "per_column"
 
+    # JSON key of each field; the modes sit in a "scaling_modes" object, keyed
+    # by component name
+    _JSON_FIELDS = {"e_ml_precharge": "ml_precharge_fJ",
+                    "e_slhi_driver": "slhi_driver_fJ", "e_other": "other_fJ",
+                    "e_dac": "dac_fJ", "ref_rows": "ref_rows",
+                    "ref_cols": "ref_cols"}
+
     def __post_init__(self):
         for name in ("e_ml_precharge", "e_slhi_driver", "e_other", "e_dac"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be non-negative")
-        for name in ("mode_ml_precharge", "mode_slhi_driver", "mode_other",
-                     "mode_dac"):
-            if getattr(self, name) not in _SCALING_MODES:
+        if self.ref_rows < 1 or self.ref_cols < 1:
+            raise DomainError("ref_rows and ref_cols must be at least 1")
+        for name, (_, mode) in self.components().items():
+            if mode not in _SCALING_MODES:
                 raise DomainError(
-                    f"{name} must be one of {_SCALING_MODES}")
+                    f"mode_{name} must be one of {_SCALING_MODES}")
 
     @property
     def ref_cells(self) -> int:
@@ -86,36 +106,15 @@ class EnergyParams:
         return replace(self, e_dac=0.0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "ml_precharge_fJ": self.e_ml_precharge,
-            "slhi_driver_fJ": self.e_slhi_driver,
-            "other_fJ": self.e_other,
-            "dac_fJ": self.e_dac,
-            "ref_rows": self.ref_rows,
-            "ref_cols": self.ref_cols,
-            "scaling_modes": {
-                "ml_precharge": self.mode_ml_precharge,
-                "slhi_driver": self.mode_slhi_driver,
-                "other": self.mode_other,
-                "dac": self.mode_dac,
-            },
-        }
+        return {**_to_json(self), "scaling_modes": {
+            name: mode for name, (_, mode) in self.components().items()}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnergyParams":
-        modes = doc.get("scaling_modes", {})
-        return cls(
-            e_ml_precharge=doc.get("ml_precharge_fJ", 102.9),
-            e_slhi_driver=doc.get("slhi_driver_fJ", 298.5),
-            e_other=doc.get("other_fJ", 86.4),
-            e_dac=doc.get("dac_fJ", 52.1),
-            ref_rows=doc.get("ref_rows", 86),
-            ref_cols=doc.get("ref_cols", 12),
-            mode_ml_precharge=modes.get("ml_precharge", "per_cell"),
-            mode_slhi_driver=modes.get("slhi_driver", "per_cell"),
-            mode_other=modes.get("other", "fixed"),
-            mode_dac=modes.get("dac", "per_column"),
-        )
+        modes = {f"mode_{name}": mode
+                 for name, mode in doc.get("scaling_modes", {}).items()
+                 if f"mode_{name}" in cls.__dataclass_fields__}
+        return cls(**_kwargs_from_json(cls, doc), **modes)
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,12 @@ class AreaParams:
     transistors_per_acam_cell: int = 6
     transistors_per_sram_tcam_cell: int = 16
 
+    _JSON_FIELDS = {"area_acam_cell": "area_acam_cell_um2",
+                    "area_tcam_cell": "area_tcam_cell_um2",
+                    "transistors_per_acam_cell": "transistors_per_acam_cell",
+                    "transistors_per_sram_tcam_cell":
+                        "transistors_per_sram_tcam_cell"}
+
     def __post_init__(self):
         if min(self.area_acam_cell, self.area_tcam_cell) <= 0:
             raise DomainError("cell areas must be positive")
@@ -135,36 +140,22 @@ class AreaParams:
             raise DomainError("transistor counts must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "area_acam_cell_um2": self.area_acam_cell,
-            "area_tcam_cell_um2": self.area_tcam_cell,
-            "transistors_per_acam_cell": self.transistors_per_acam_cell,
-            "transistors_per_sram_tcam_cell": self.transistors_per_sram_tcam_cell,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AreaParams":
-        return cls(
-            area_acam_cell=doc.get("area_acam_cell_um2", 0.52),
-            area_tcam_cell=doc.get("area_tcam_cell_um2", 0.70),
-            transistors_per_acam_cell=doc.get("transistors_per_acam_cell", 6),
-            transistors_per_sram_tcam_cell=doc.get(
-                "transistors_per_sram_tcam_cell", 16),
-        )
+        return cls(**_kwargs_from_json(cls, doc))
 
 
 @dataclass(frozen=True)
 class CostReport:
-    """Energy/area/count report; ``extras`` holds comparison-specific lines."""
+    """Per-search energy report of one array size."""
 
     rows: int
     cols: int
     breakdown: dict         # component -> fJ per search
     assumptions: dict       # component -> scaling mode
     per_cell: float         # fJ per search per cell
-    per_tcam_bit: float | None = None  # fJ per search per equivalent TCAM bit
-    area_um2: float | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -175,7 +166,7 @@ class CostReport:
         return self.rows * self.cols
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "rows": self.rows,
             "cols": self.cols,
             "cells": self.cells,
@@ -184,12 +175,6 @@ class CostReport:
             "energy_per_cell_fJ": self.per_cell,
             "scaling_assumptions": dict(self.assumptions),
         }
-        if self.per_tcam_bit is not None:
-            doc["energy_per_tcam_bit_fJ"] = self.per_tcam_bit
-        if self.area_um2 is not None:
-            doc["area_um2"] = self.area_um2
-        doc.update(self.extras)
-        return doc
 
     def to_text(self) -> str:
         lines = [f"array {self.rows} x {self.cols} ({self.cells} cells)"]
@@ -200,12 +185,6 @@ class CostReport:
             lines.append(f"  {name.ljust(width)}  {val:10.2f} fJ/search")
         lines.append(f"  {'total'.ljust(width)}  {self.total:10.2f} fJ/search")
         lines.append(f"  per cell: {self.per_cell:.4f} fJ")
-        if self.per_tcam_bit is not None:
-            lines.append(f"  per equivalent TCAM bit: {self.per_tcam_bit:.4f} fJ")
-        if self.area_um2 is not None:
-            lines.append(f"  area: {self.area_um2:.2f} um^2")
-        for key, val in self.extras.items():
-            lines.append(f"  {key}: {val}")
         return "\n".join(lines)
 
 
@@ -257,7 +236,7 @@ class RangeComparisonReport:
     tcam_area_um2: float
     tcam_baseline: str  # "published" or "compiled"
     options: tuple[RangeCostOption, ...]
-    baselines: dict = field(default_factory=dict)
+    baselines: dict     # published per-bit TCAM energies and our advantage
 
     def option(self, bits: int) -> RangeCostOption:
         for opt in self.options:
@@ -266,7 +245,7 @@ class RangeComparisonReport:
         raise DomainError(f"no option with {bits} bits per cell")
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "rule": {"lo": self.rule.lo, "hi": self.rule.hi,
                      "width_bits": self.rule.width_bits, "label": self.rule.label},
             "tcam_baseline": {
@@ -289,10 +268,8 @@ class RangeComparisonReport:
                 "transistor_reduction": o.transistor_reduction,
                 "area_reduction": o.area_reduction,
             } for o in self.options],
+            "published_baselines": dict(self.baselines),
         }
-        if self.baselines:
-            doc["published_baselines"] = dict(self.baselines)
-        return doc
 
     def to_text(self) -> str:
         lines = [
@@ -317,15 +294,16 @@ class RangeComparisonReport:
 
 def compare_range_implementations(r: RangeRule, bits_per_cell_options,
                                   ap: AreaParams, ep: EnergyParams,
-                                  tcam_cells: int | None = None,
-                                  tcam_rows: int | None = None) -> RangeComparisonReport:
+                                  tcam_cells: int | None = None) -> RangeComparisonReport:
     """Compile a rule at several cell widths and report costs vs. TCAM.
 
     The TCAM baseline defaults to our own ternary expansion; pass the
-    published implementation's dimensions (``tcam_cells``/``tcam_rows``) to
-    compare against reported figures instead. Analog table energy uses the
-    reference per-cell figure times the cell count, the normalization under
-    which per-equivalent-TCAM-bit energies are quoted.
+    published implementation's cell count ``tcam_cells`` to compare against
+    reported figures instead. Analog table energy uses the reference
+    per-cell figure times the cell count, the normalization under which
+    per-equivalent-TCAM-bit energies are quoted. The published per-bit
+    energies of SRAM and memristor TCAMs are data, attached with their ratio
+    to the first option's per-bit energy ("n/a" without options).
     """
     baseline = "published"
     if tcam_cells is None:
@@ -333,7 +311,7 @@ def compare_range_implementations(r: RangeRule, bits_per_cell_options,
         tcam_rows = ternary.n_rows
         tcam_cells = ternary.n_cells
         baseline = "compiled"
-    elif tcam_rows is None:
+    else:
         tcam_rows = tcam_cells // r.width_bits
 
     tcam_transistors = tcam_cells * ap.transistors_per_sram_tcam_cell
@@ -353,35 +331,15 @@ def compare_range_implementations(r: RangeRule, bits_per_cell_options,
             cell_reduction=tcam_cells / cells,
             transistor_reduction=tcam_transistors / transistors,
             area_reduction=tcam_area / area))
+    published = {"sram_tcam": SRAM_TCAM_FJ_PER_BIT,
+                 "memristor_tcam": MEMRISTOR_TCAM_FJ_PER_BIT}
+    baselines = {f"{k}_fJ_per_bit": v for k, v in published.items()}
+    for k, v in published.items():
+        baselines[f"{k}_advantage"] = (v / options[0].per_tcam_bit_fj
+                                       if options else "n/a")
     return RangeComparisonReport(rule=r, tcam_rows=tcam_rows,
                                  tcam_cells=tcam_cells,
                                  tcam_transistors=tcam_transistors,
                                  tcam_area_um2=tcam_area,
                                  tcam_baseline=baseline,
-                                 options=tuple(options))
-
-
-def baseline_comparison(report):
-    """Attach published per-bit TCAM energy constants and ratios to a report.
-
-    Works on any report object exposing ``per_tcam_bit`` (CostReport) or
-    per-option figures (RangeComparisonReport). Ratios are plain division;
-    the constants themselves are data, not computed.
-    """
-    if isinstance(report, RangeComparisonReport):
-        per_bit = report.options[0].per_tcam_bit_fj if report.options else None
-    else:
-        per_bit = report.per_tcam_bit
-    baselines = {
-        "sram_tcam_fJ_per_bit": SRAM_TCAM_FJ_PER_BIT,
-        "memristor_tcam_fJ_per_bit": MEMRISTOR_TCAM_FJ_PER_BIT,
-    }
-    if per_bit is None:
-        baselines["sram_tcam_advantage"] = "n/a"
-        baselines["memristor_tcam_advantage"] = "n/a"
-    else:
-        baselines["sram_tcam_advantage"] = SRAM_TCAM_FJ_PER_BIT / per_bit
-        baselines["memristor_tcam_advantage"] = MEMRISTOR_TCAM_FJ_PER_BIT / per_bit
-    if isinstance(report, RangeComparisonReport):
-        return replace(report, baselines={**report.baselines, **baselines})
-    return replace(report, extras={**report.extras, **baselines})
+                                 options=tuple(options), baselines=baselines)

@@ -27,7 +27,7 @@ Functions accept scalars or numpy arrays for the voltage argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class DeviceParams:
         if missing:
             raise DomainError(f"device parameter document missing {sorted(missing)}")
         return cls(**kwargs)
-
-    def with_(self, **changes) -> "DeviceParams":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ table onto programmable conductance pairs through a discrete level family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import (CellConfig, DeviceParams, LevelCode, VoltageInterval,
+from .cell import (CellConfig, DeviceParams, VoltageInterval,
                    _conductance_targets, achievable_window, quantize_levels,
                    v_of_level)
 from .devices import TsDeviceParams
@@ -86,10 +86,6 @@ class DigitSpec:
     @classmethod
     def wildcard(cls, base: int) -> "DigitSpec":
         return cls(0, base - 1, base)
-
-    @classmethod
-    def subrange(cls, lo: int, hi: int, base: int) -> "DigitSpec":
-        return cls(lo, hi, base)
 
     @property
     def is_wildcard(self) -> bool:
@@ -229,7 +225,7 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
 
     def make_row(prefix: list[int], d_lo: int, d_hi: int, n_x: int) -> DigitWord:
         digits = ([DigitSpec.exact(d, base) for d in prefix]
-                  + [DigitSpec.subrange(d_lo, d_hi, base)]
+                  + [DigitSpec(d_lo, d_hi, base)]
                   + [DigitSpec.wildcard(base)] * n_x)
         return DigitWord(tuple(digits))
 
@@ -263,14 +259,10 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
 
 def compile_rule(r: RangeRule, bits_per_cell: int | None = None) -> CamTable:
     """Compile one rule to a CamTable (ternary when ``bits_per_cell`` is None)."""
-    if bits_per_cell is None or bits_per_cell == 1:
-        if bits_per_cell == 1:
-            rows = tuple((word, r.label) for word in range_to_digits(r, 1))
-            return CamTable(rows=rows, width_bits=r.width_bits, bits_per_cell=1)
-        rows = tuple((word, r.label) for word in range_to_ternary(r))
-        return CamTable(rows=rows, width_bits=r.width_bits, bits_per_cell=None)
-    rows = tuple((word, r.label) for word in range_to_digits(r, bits_per_cell))
-    return CamTable(rows=rows, width_bits=r.width_bits, bits_per_cell=bits_per_cell)
+    words = (range_to_ternary(r) if bits_per_cell is None
+             else range_to_digits(r, bits_per_cell))
+    return CamTable(rows=tuple((word, r.label) for word in words),
+                    width_bits=r.width_bits, bits_per_cell=bits_per_cell)
 
 
 def compile_rules(rules, bits_per_cell: int | None = None) -> CamTable:
@@ -292,14 +284,17 @@ def compile_rules(rules, bits_per_cell: int | None = None) -> CamTable:
 
 @dataclass(frozen=True)
 class LevelFamily:
-    """Discrete level geometry used to store digit cells as analog intervals."""
+    """Discrete level geometry used to store digit cells as analog intervals.
 
-    levels: tuple[LevelCode, ...]
+    ``levels[i]`` is the match interval of level ``i``.
+    """
+
+    levels: tuple[VoltageInterval, ...]
     window: VoltageInterval
 
     @property
     def n_levels(self) -> int:
-        return self.levels[0].n_levels
+        return len(self.levels)
 
     def digit_interval(self, spec: DigitSpec) -> VoltageInterval:
         if spec.base > self.n_levels:
@@ -307,8 +302,7 @@ class LevelFamily:
                 f"digit base {spec.base} exceeds {self.n_levels}-level family")
         if spec.is_wildcard:
             return self.window
-        return VoltageInterval(self.levels[spec.lo].interval.lo,
-                               self.levels[spec.hi].interval.hi)
+        return VoltageInterval(self.levels[spec.lo].lo, self.levels[spec.hi].hi)
 
     def digit_voltage(self, digit: int) -> float:
         return v_of_level(digit, self.n_levels, self.window)
@@ -329,15 +323,17 @@ def family_to_json_dict(f: LevelFamily) -> dict:
     return {
         "window": {"lo_V": f.window.lo, "hi_V": f.window.hi},
         "n_levels": f.n_levels,
-        "levels": [{"index": lv.index, "lo_V": lv.interval.lo,
-                    "hi_V": lv.interval.hi} for lv in f.levels],
+        "levels": [{"index": i, "lo_V": lv.lo, "hi_V": lv.hi}
+                   for i, lv in enumerate(f.levels)],
     }
 
 
 def family_from_json_dict(doc: dict) -> LevelFamily:
-    n = doc["n_levels"]
-    levels = tuple(LevelCode(n, lv["index"],
-                             VoltageInterval(lv["lo_V"], lv["hi_V"]))
+    """Inverse of :func:`family_to_json_dict`. Raises ValueError unless the
+    level indices run 0 .. n_levels - 1 in order."""
+    if [lv["index"] for lv in doc["levels"]] != list(range(doc["n_levels"])):
+        raise ValueError("level indices must run 0 .. n_levels - 1 in order")
+    levels = tuple(VoltageInterval(lv["lo_V"], lv["hi_V"])
                    for lv in doc["levels"])
     return LevelFamily(levels=levels,
                        window=VoltageInterval(doc["window"]["lo_V"],
@@ -370,8 +366,7 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
             if family is None:
                 family = default_level_family(2, p, variant, ts)
             specs.extend(family.window if ch == "X"
-                         else family.levels[int(ch)].interval
-                         for ch in word.symbols)
+                         else family.levels[int(ch)] for ch in word.symbols)
         else:
             raise DomainError(f"cannot lower row type {type(word).__name__}")
     n_cols = t.n_cols

@@ -221,7 +221,7 @@ def tree_to_cam(t: DecisionTree, p: DeviceParams,
                 raise MalformedTreeError(
                     f"quantization collision: path to {label!r} collapses "
                     f"feature {t.features[fi].name!r} to an empty level range")
-            digits.append(DigitSpec.subrange(i_lo, i_hi, n_levels))
+            digits.append(DigitSpec(i_lo, i_hi, n_levels))
         return DigitWord(tuple(digits))
 
     qrows = tuple((snap(word, label), label) for word, label in rows)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,14 +184,14 @@ class TestEffectiveBounds:
 
 class TestMaxWordLength:
     def test_published_ratio_example(self, params):
-        p = params.with_(g_on=1e-3, g_off=1e-6)  # ON/OFF ratio 1000
+        p = replace(params, g_on=1e-3, g_off=1e-6)  # ON/OFF ratio 1000
         assert max_word_length(p, margin_ratio=2.0) == 998
 
     def test_margin_near_one_is_capped(self, params):
         assert max_word_length(params, margin_ratio=1.0 + 1e-15) == MAX_WORD_LENGTH_CAP
 
     def test_ratio_two_allows_nothing(self, params):
-        p = params.with_(g_on=2e-6, g_off=1e-6)
+        p = replace(params, g_on=2e-6, g_off=1e-6)
         assert max_word_length(p, margin_ratio=2.0) == 0
 
     def test_margin_must_exceed_one(self, params):
@@ -324,6 +325,15 @@ def test_sweep_column_emits_band(params):
     assert all(r == 0 for _, r, _, _ in samples)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.001])
+def test_sweeps_reject_non_positive_step(params, step):
+    a = make_array([[CellConfig(40e-6, 80e-6)]])
+    with pytest.raises(DomainError):
+        sweep_column(a, 0, params, step=step)
+    with pytest.raises(DomainError):
+        effective_bounds_in_array(a, 0, 0, params, step=step)
+
+
 def test_non_finite_stimulus_rejected(params):
     a = make_array([[reference_cell(params)] * 2])
     for bad in (np.nan, np.inf, -np.inf):
@@ -342,9 +352,8 @@ def test_non_finite_stimulus_rejected(params):
 def _full_kernel(a, stims, p):
     # in slices of inputs: the oracle holds every input x row x column at once
     n = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
-    return np.vstack([
-        _matched(a, _v_ml_at_sense(a, row_conductances(a, stims[s:s + n], p)))
-        for s in range(0, len(stims), n)])
+    return np.vstack([_matched(a, row_conductances(a, stims[s:s + n], p))
+                      for s in range(0, len(stims), n)])
 
 
 def _random_cells(rng, p, variant, ts, rows, cols):
@@ -434,7 +443,7 @@ class TestPrunedSearch:
         _assert_same_decisions(a, params, rng)
 
     def test_zero_leakage_device(self, params):
-        p = params.with_(g_off=0.0)
+        p = replace(params, g_off=0.0)
         rng = np.random.default_rng(31)
         for cols in (1, 4, 32):
             a = make_array(_random_cells(rng, p, "mosfet", None, 5, cols))
@@ -576,6 +585,51 @@ class TestPrunedSearch:
             pairs.clear()
             search_many(a, stims[:4096], params)
             assert sum(pairs) == 0
+
+
+class TestMatchRule:
+    """Every decision is ``_matched``: the row conductance against G_th."""
+
+    def test_tie_matches_on_mosfet_only(self, params, ts_params):
+        for variant, ts, tie in (("mosfet", None, True), ("ts", ts_params, False)):
+            a = make_array([[reference_cell(params, variant, ts)]],
+                           variant=variant, ts_params=ts)
+            g_th = match_threshold_conductance(a)
+            g = np.array([np.nextafter(g_th, 0.0), g_th,
+                          np.nextafter(g_th, np.inf)])
+            assert _matched(a, g).tolist() == [True, tie, False]
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_equals_sense_voltage_rule_on_kernel_outputs(self, params,
+                                                         ts_params, variant):
+        def by_voltage(a, g_row):  # the rule written on V_ML at t_sense
+            level = a.sense_frac * a.v_precharge
+            v_ml = _v_ml_at_sense(a, g_row)
+            return v_ml >= level if a.variant == "mosfet" else v_ml < level
+
+        ts = ts_params if variant == "ts" else None
+        rng = np.random.default_rng(71)
+        cells = _random_cells(rng, params, variant, ts, 6, 4)
+        a = make_array(cells, variant=variant, ts_params=ts)
+        g_row = row_conductances(a, _differential_stimuli(rng, a, params), params)
+        for t_sense in (1e-15, 1e-12, 100e-12, 1e-9):
+            for sense_frac in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6,
+                               1 - 2 ** -53):
+                a = make_array(cells, variant=variant, ts_params=ts,
+                               t_sense=t_sense, sense_frac=sense_frac)
+                assert np.array_equal(_matched(a, g_row), by_voltage(a, g_row))
+
+    @pytest.mark.parametrize("sense_frac", [1e-17, 1e-300])
+    def test_search_many_equals_rule_at_vanishing_sense_frac(
+            self, params, ts_params, sense_frac):
+        # G_th rounds to 0 here, so no row matches; the V_ML form of the
+        # rule rounds the other way on rows that barely leak
+        rng = np.random.default_rng(73)
+        for _ in range(5):
+            a = make_array(_random_cells(rng, params, "ts", ts_params, 6, 4),
+                           variant="ts", ts_params=ts_params, t_sense=1e-15,
+                           sense_frac=sense_frac)
+            _assert_same_decisions(a, params, rng)
 
 
 def _gate_voltage_at(g_leg, variant, p, ts):

@@ -145,17 +145,17 @@ class TestQuantizeLevels:
         levels = quantize_levels(8, VoltageInterval(0.2, 0.6), guard=0.010)
         assert len(levels) == 8
         for lv in levels:
-            assert lv.interval.width == pytest.approx(0.040)
+            assert lv.width == pytest.approx(0.040)
         # disjoint and ordered
         for a, b in zip(levels, levels[1:]):
-            assert a.interval.hi < b.interval.lo
-        assert levels[0].interval.lo == pytest.approx(0.205)
-        assert levels[-1].interval.hi == pytest.approx(0.595)
+            assert a.hi < b.lo
+        assert levels[0].lo == pytest.approx(0.205)
+        assert levels[-1].hi == pytest.approx(0.595)
 
     def test_two_levels_zero_guard_halves_window(self):
         levels = quantize_levels(2, VoltageInterval(0.2, 0.6), guard=0.0)
-        assert levels[0].interval == VoltageInterval(0.2, 0.4)
-        assert levels[1].interval == VoltageInterval(0.4, 0.6)
+        assert levels[0] == VoltageInterval(0.2, 0.4)
+        assert levels[1] == VoltageInterval(0.4, 0.6)
 
     def test_twenty_levels_feasible_iff_guard_below_pitch(self):
         window = VoltageInterval(0.2, 0.6)  # pitch 20 mV at 20 levels
@@ -168,7 +168,7 @@ class TestQuantizeLevels:
         window = VoltageInterval(0.2, 0.6)
         levels = quantize_levels(8, window, guard=0.010)
         for i in range(8):
-            assert levels[i].interval.contains(v_of_level(i, 8, window))
+            assert levels[i].contains(v_of_level(i, 8, window))
 
     def test_invalid_requests(self):
         with pytest.raises(DomainError):

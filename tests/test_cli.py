@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -199,6 +200,12 @@ class TestSweep:
                 if line.endswith(",1")]
         assert min(band) == pytest.approx(0.33, abs=0.005)
         assert max(band) == pytest.approx(0.43, abs=0.005)
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_non_positive_step_is_domain_error(self, tmp_path, capsys, step):
+        assert main(["--out", str(tmp_path / "s"), "sweep", "--cell", "40,80",
+                     f"--step={step}"]) == 3
+        assert capsys.readouterr().err == "error: step must be positive\n"
 
     def test_table_sweep(self, tmp_path, rules_file):
         out = str(tmp_path / "s3")
@@ -631,6 +638,11 @@ class TestCost:
         doc = json.loads((tmp_path / "c3" / "cost.json").read_text())
         o4 = [o for o in doc["options"] if o["bits_per_cell"] == 4][0]
         assert o4["transistor_reduction"] >= 37.0
+        assert list(doc) == ["rule", "tcam_baseline", "options",
+                             "published_baselines"]
+        assert list(doc["published_baselines"]) == [
+            "sram_tcam_fJ_per_bit", "memristor_tcam_fJ_per_bit",
+            "sram_tcam_advantage", "memristor_tcam_advantage"]
 
     def test_table_cost(self, tmp_path, rules_file):
         out = str(tmp_path / "c4")
@@ -665,7 +677,7 @@ class TestConfig:
     def test_config_file_overrides_device_params(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         from acamsim.cell import calibrated_defaults
-        p = calibrated_defaults().with_(g_off=1e-9)
+        p = replace(calibrated_defaults(), g_off=1e-9)
         config.write_text(json.dumps({"device": p.to_json_dict()}))
         out = str(tmp_path / "cfg")
         assert main(["--config", str(config), "--out", out, "sweep",
@@ -686,3 +698,89 @@ class TestConfig:
         out = str(tmp_path / "bad")
         assert main(["--config", str(config), "--out", out, "cost",
                      "--rows", "2", "--cols", "2"]) == 2
+
+    @pytest.mark.parametrize("section", [
+        {"energy": {"dac_fJ": "abc"}},
+        {"energy": {"scaling_modes": "x"}},
+        {"energy": {"ref_rows": "many"}},
+        {"area": []},
+        {"area": {"area_tcam_cell_um2": None}},
+    ])
+    def test_malformed_cost_section_is_parse_error(self, tmp_path, capsys,
+                                                   section):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(section))
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     "cost", "--rule", "385,58630,16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: bad ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value, code", [("abc", 2), ([0.3], 2),
+                                             (None, 2), (1e6, 3)])
+    def test_device_section_shape_and_invariants(self, tmp_path, capsys,
+                                                 value, code):
+        # g_off above g_on is a domain error, a non-number a parse error
+        doc = replace(calibrated_defaults(), g_off=1e-9).to_json_dict()
+        doc["g_off_uS"] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"device": doc}))
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     "sweep", "--cell", "40,80"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert (str(config) in err) == (code == 2)
+
+
+def _broken_copy(tmp_path, table: str, change) -> str:
+    doc = json.loads(open(table).read())
+    change(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMalformedCompiledDocument:
+    """A compiled document of the wrong shape is a parse error naming it."""
+
+    def _assert_parse_error(self, capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change", [
+        lambda f: f.pop("n_levels"),
+        lambda f: f.pop("levels"),
+        lambda f: f["levels"].pop(3),   # indices no longer run 0 .. n - 1
+    ])
+    def test_malformed_family(self, tmp_path, capsys, change):
+        table = _broken_copy(tmp_path, compile_tree(tmp_path, "q", "--bits", "4"),
+                             lambda d: change(d["family"]))
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n")
+        self._assert_parse_error(capsys, ["--out", str(tmp_path / "o"),
+                                          "classify", table, str(inputs)], table)
+
+    @pytest.mark.parametrize("command", ["classify", "sweep", "cost"])
+    def test_table_without_rows(self, tmp_path, capsys, command):
+        table = _broken_copy(tmp_path, compile_tree(tmp_path, "t"),
+                             lambda d: d["table"].pop("rows"))
+        inputs = tmp_path / "in.csv"
+        inputs.write_text("0.2,0.9\n")
+        argv = ["--out", str(tmp_path / "o"), command, table]
+        self._assert_parse_error(
+            capsys, argv + ([str(inputs)] if command == "classify" else []),
+            table)
+
+    def test_digit_without_hi(self, tmp_path, capsys, rules_file):
+        out = str(tmp_path / "r")
+        assert main(["--out", out, "compile", rules_file, "--bits", "4"]) == 0
+        table = _broken_copy(
+            tmp_path, os.path.join(out, "table.json"),
+            lambda d: d["table"]["rows"][0]["word"]["digits"][0].pop("hi"))
+        values = tmp_path / "values.txt"
+        values.write_text("385\n")
+        self._assert_parse_error(capsys, ["--out", out, "search", table,
+                                          str(values)], table)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acamsim.cost import (AreaParams, EnergyParams, REFERENCE_TCAM_CELLS,
-                          SRAM_TCAM_FJ_PER_BIT, baseline_comparison,
+from acamsim.cost import (AreaParams, EnergyParams, MEMRISTOR_TCAM_FJ_PER_BIT,
+                          REFERENCE_TCAM_CELLS, SRAM_TCAM_FJ_PER_BIT,
                           compare_range_implementations, energy_per_search)
 from acamsim.errors import DomainError
 from acamsim.tables import RangeRule
@@ -96,7 +96,6 @@ class TestBaselineComparison:
     def test_published_constants_and_ratio(self):
         rep = compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
                                             EnergyParams(), tcam_cells=336)
-        rep = baseline_comparison(rep)
         per_bit = rep.option(4).per_tcam_bit_fj
         assert rep.baselines["sram_tcam_fJ_per_bit"] == 0.165
         assert rep.baselines["memristor_tcam_fJ_per_bit"] == 0.17
@@ -104,18 +103,25 @@ class TestBaselineComparison:
             SRAM_TCAM_FJ_PER_BIT / per_bit, rel=1e-12)
         assert rep.baselines["sram_tcam_advantage"] == pytest.approx(4.46, rel=0.02)
 
-    def test_identical_baselines_give_unity(self):
-        r = energy_per_search(86, 12, EnergyParams())
-        from dataclasses import replace
-        r = replace(r, per_tcam_bit=SRAM_TCAM_FJ_PER_BIT)
-        out = baseline_comparison(r)
-        assert out.extras["sram_tcam_advantage"] == pytest.approx(1.0)
-
-    def test_missing_per_bit_flags_na(self):
-        r = energy_per_search(86, 12, EnergyParams())
-        out = baseline_comparison(r)
-        assert out.extras["sram_tcam_advantage"] == "n/a"
-        assert out.extras["memristor_tcam_advantage"] == "n/a"
+    def test_equal_per_bit_gives_unity_and_no_option_gives_na(self):
+        # every fJ of the reference array in one component: the per-cell
+        # figure is the SRAM TCAM per-bit energy, and so is the per-bit
+        # figure of a table compared with its own cell count
+        ep = EnergyParams(e_ml_precharge=SRAM_TCAM_FJ_PER_BIT * 86 * 12,
+                          e_slhi_driver=0.0, e_other=0.0, e_dac=0.0)
+        cells = compare_range_implementations(
+            REFERENCE_RULE, [4], AreaParams(), ep).option(4).cells
+        rep = compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
+                                            ep, tcam_cells=cells)
+        assert rep.baselines["sram_tcam_advantage"] == pytest.approx(1.0)
+        assert rep.baselines["memristor_tcam_advantage"] == pytest.approx(
+            MEMRISTOR_TCAM_FJ_PER_BIT / SRAM_TCAM_FJ_PER_BIT)
+        none = compare_range_implementations(REFERENCE_RULE, [], AreaParams(),
+                                             EnergyParams())
+        assert none.baselines == {
+            "sram_tcam_fJ_per_bit": SRAM_TCAM_FJ_PER_BIT,
+            "memristor_tcam_fJ_per_bit": MEMRISTOR_TCAM_FJ_PER_BIT,
+            "sram_tcam_advantage": "n/a", "memristor_tcam_advantage": "n/a"}
 
 
 class TestSerialization:
@@ -124,13 +130,31 @@ class TestSerialization:
         back = EnergyParams.from_json_dict(ep.to_json_dict())
         assert back == ep
 
+    def test_defaults_from_empty_document(self):
+        assert EnergyParams.from_json_dict({}) == EnergyParams()
+        assert AreaParams.from_json_dict({}) == AreaParams()
+
+    def test_unknown_keys_are_ignored(self):
+        ep = EnergyParams.from_json_dict(
+            {"dac_fJ": 1.0, "bogus_fJ": 2.0,
+             "scaling_modes": {"dac": "fixed", "bogus": "per_row"}})
+        assert ep == EnergyParams(e_dac=1.0, mode_dac="fixed")
+
+    def test_energy_params_json_keys(self):
+        assert list(EnergyParams().to_json_dict()) == [
+            "ml_precharge_fJ", "slhi_driver_fJ", "other_fJ", "dac_fJ",
+            "ref_rows", "ref_cols", "scaling_modes"]
+        assert EnergyParams().to_json_dict()["scaling_modes"] == {
+            "ml_precharge": "per_cell", "slhi_driver": "per_cell",
+            "other": "fixed", "dac": "per_column"}
+
     def test_area_params_round_trip(self):
         ap = AreaParams(area_acam_cell=0.6)
         assert AreaParams.from_json_dict(ap.to_json_dict()) == ap
 
     def test_report_json_and_text(self):
-        rep = baseline_comparison(compare_range_implementations(
-            REFERENCE_RULE, [4], AreaParams(), EnergyParams(), tcam_cells=336))
+        rep = compare_range_implementations(
+            REFERENCE_RULE, [4], AreaParams(), EnergyParams(), tcam_cells=336)
         doc = rep.to_json_dict()
         assert doc["tcam_baseline"]["cells"] == 336
         assert doc["options"][0]["cell_reduction"] == pytest.approx(14.0)
@@ -143,5 +167,7 @@ class TestSerialization:
             EnergyParams(e_dac=-1.0)
         with pytest.raises(DomainError):
             EnergyParams(mode_dac="per_banana")
+        with pytest.raises(DomainError):
+            EnergyParams(ref_rows=0)
         with pytest.raises(DomainError):
             AreaParams(area_tcam_cell=0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestPulldownConductance:
         assert np.all(np.diff(g) >= 0)
 
     def test_zero_leakage_device(self, params):
-        p = params.with_(g_off=0.0)
+        p = replace(params, g_off=0.0)
         assert pulldown_conductance(0.1, p) == 0.0
         assert pulldown_conductance(p.v_th_ml, p) == p.g_on
         v = np.linspace(0.0, 0.4, 2001)

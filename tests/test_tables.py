@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,17 +184,17 @@ class TestLowering:
         t = CamTable(rows=((word, "e"),), width_bits=3, bits_per_cell=3)
         cell = lower_to_conductances(t, params, fam)[0][0]
         iv = bounds_from_conductance(cell, params)
-        assert iv.lo == pytest.approx(fam.levels[3].interval.lo, abs=1e-3)
-        assert iv.hi == pytest.approx(fam.levels[3].interval.hi, abs=1e-3)
+        assert iv.lo == pytest.approx(fam.levels[3].lo, abs=1e-3)
+        assert iv.hi == pytest.approx(fam.levels[3].hi, abs=1e-3)
 
     def test_subrange_digit_stores_union_as_one_interval(self, params):
         fam = default_level_family(8, params)
-        word = DigitWord((DigitSpec.subrange(2, 5, 8),))
+        word = DigitWord((DigitSpec(2, 5, 8),))
         t = CamTable(rows=((word, "s"),), width_bits=3, bits_per_cell=3)
         cell = lower_to_conductances(t, params, fam)[0][0]
         iv = bounds_from_conductance(cell, params)
-        assert iv.lo == pytest.approx(fam.levels[2].interval.lo, abs=1e-3)
-        assert iv.hi == pytest.approx(fam.levels[5].interval.hi, abs=1e-3)
+        assert iv.lo == pytest.approx(fam.levels[2].lo, abs=1e-3)
+        assert iv.hi == pytest.approx(fam.levels[5].hi, abs=1e-3)
 
     def test_window_overflow_names_digit(self, params):
         from acamsim.cell import quantize_levels
@@ -217,7 +219,7 @@ class TestLowering:
 
     def test_lowered_table_classifies_all_inputs(self, params):
         # idealized zero-leakage device isolates the interval semantics
-        p = params.with_(g_off=0.0)
+        p = replace(params, g_off=0.0)
         t = compile_rule(REFERENCE_RULE, 4)
         fam = default_level_family(16, p)
         a = make_array(lower_to_conductances(t, p, fam))
@@ -242,7 +244,7 @@ def per_cell_lowering(t, p, family, variant="mosfet", ts=None):
         elif isinstance(word, DigitWord):
             specs = [family.digit_interval(d) for d in word.digits]
         else:
-            specs = [family.window if ch == "X" else family.levels[int(ch)].interval
+            specs = [family.window if ch == "X" else family.levels[int(ch)]
                      for ch in word.symbols]
         row = []
         for ci, iv in enumerate(specs):
@@ -299,7 +301,7 @@ class TestVectorizedLowering:
         fam = LevelFamily(levels=tuple(quantize_levels(4, narrow, 0.004)),
                           window=narrow)
         word = DigitWord((DigitSpec.wildcard(4), DigitSpec.exact(1, 4),
-                          DigitSpec.subrange(1, 3, 4), DigitSpec.wildcard(4)))
+                          DigitSpec(1, 3, 4), DigitSpec.wildcard(4)))
         t = CamTable(rows=((word, "a"), (word, "b")), width_bits=8,
                      bits_per_cell=2)
         got = lower_to_conductances(t, params, fam)
@@ -361,8 +363,18 @@ class TestSerialization:
         assert back.n_levels == 8
         assert back.window.lo == pytest.approx(fam.window.lo)
         for a, b in zip(back.levels, fam.levels):
-            assert a.interval.lo == pytest.approx(b.interval.lo)
-            assert a.interval.hi == pytest.approx(b.interval.hi)
+            assert a.lo == pytest.approx(b.lo)
+            assert a.hi == pytest.approx(b.hi)
+
+    def test_level_family_json_format(self, params):
+        from acamsim.tables import family_from_json_dict, family_to_json_dict
+        fam = default_level_family(16, params)
+        doc = family_to_json_dict(fam)
+        assert list(doc) == ["window", "n_levels", "levels"]
+        assert list(doc["window"]) == ["lo_V", "hi_V"] and doc["n_levels"] == 16
+        assert [list(lv) for lv in doc["levels"]] == [["index", "lo_V", "hi_V"]] * 16
+        assert [lv["index"] for lv in doc["levels"]] == list(range(16))
+        assert family_from_json_dict(json.loads(json.dumps(doc))) == fam
 
     def test_rules_jsonl_parsing(self):
         text = '{"lo": 4, "hi": 7, "width_bits": 4, "label": "a"}\n\n' \
