@@ -3,7 +3,7 @@
 from .array import (ArraySpec, Parasitics, RowResult, SearchResult,
                     analytic_range_shift, discharge_latency,
                     effective_bounds_in_array, make_array, max_word_length,
-                    search, search_many, sweep_column)
+                    search, search_many, search_words, sweep_column)
 from .cell import (CellConfig, VoltageInterval, achievable_window,
                    bounds_from_conductance, calibrate, calibrated_defaults,
                    conductance_from_bounds, quantize_levels)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,15 +37,18 @@ from .errors import (DomainError, EmptyIntervalError, NoDischargeError)
 MAX_WORD_LENGTH_CAP = 2 ** 31 - 1
 LN10 = math.log(10.0)
 
-# search_many rejects a row without the electrical kernel when one cell leg
+# search_words rejects a row without the electrical kernel when one cell leg
 # alone conducts at least PRUNE_FACTOR * G_th, and accepts one when every leg
 # conducts at most G_th / (PRUNE_FACTOR * 2 * cols). The factor is a rounding
 # margin: it dwarfs any floating-point error in the divider, inverter and
 # threshold arithmetic, so the full kernel decides such a row the same way.
 PRUNE_FACTOR = 2.0
-# Input x row x column elements search_many handles per chunk of inputs, which
+# Input x row x column elements search_words handles per chunk of inputs, which
 # bounds its working memory whatever the batch size.
 CHUNK_ELEMENTS = 2 ** 18
+# A set of rows is packed into words of this type: row r is bit r % 64 of
+# word r // 64 (search_words).
+WORD = np.dtype("<u8")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,11 @@ class ArraySpec:
     variant: str = "mosfet"  # "mosfet" (pull-down) or "ts" (pull-up)
     ts_params: TsDeviceParams | None = None
     c_sense: float = 1e-15  # fixed sense-node capacitance (F)
+    # (p, per-column prune thresholds, packed per-column lookup tables or
+    # None) of the last search_words call; they depend only on p and the
+    # fields above
+    _tables: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         for name in ("g1", "g2"):
@@ -343,8 +351,54 @@ def search(a: ArraySpec, stimulus, p: DeviceParams) -> SearchResult:
     return SearchResult(rows=tuple(rows))
 
 
-def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
-    """Vectorized match decisions: (n_searches, cols) -> (n_searches, rows) bools.
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(n, rows) bools as (n, ceil(rows / 64)) ``WORD`` row sets."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view(WORD)
+
+
+def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
+    """(n, words) ``WORD`` row sets as (n, rows) bools."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=rows,
+                         bitorder="little").view(bool)
+
+
+def _single_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (n, words) row set, its row if it holds exactly one (else 0), and
+    whether it does: exactly one word is nonzero and has one bit set."""
+    wt = np.ascontiguousarray(words.T)  # reductions over words run per row
+    nonzero = wt != 0
+    w = np.bitwise_or.reduce(wt, axis=0)  # the nonzero word, when just one
+    good = (nonzero.sum(axis=0) == 1) & (w & (w - 1) == 0)
+    word = (nonzero * np.arange(len(wt))[:, None]).sum(axis=0)
+    return np.where(good, 64 * word + np.frexp(w)[1] - 1, 0), good
+
+
+def _search_tables(a: ArraySpec, p: DeviceParams, lookup: bool):
+    """Prune thresholds ``(t1, t2, u1, u2)``, each (cols, rows), and with
+    ``lookup`` the packed :func:`_column_bins` table of every column (else
+    None). Built once per ``p`` and kept on the spec."""
+    if a._tables is None or a._tables[0] != p:
+        bounds = tuple(b.T.copy() for b in _prune_thresholds(a, a.g1, a.g2, p))
+        object.__setattr__(a, "_tables", (p, bounds, None))
+    _, bounds, columns = a._tables
+    if lookup and columns is None:
+        columns = []
+        for c in range(a.cols):
+            edges, live, quiet = _column_bins(*(b[c] for b in bounds))
+            columns.append((edges, _pack(live), _pack(quiet)))
+        object.__setattr__(a, "_tables", (p, bounds, columns))
+    return bounds, columns if lookup else None
+
+
+def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
+    """Matched rows of every stimulus as packed row sets.
+
+    ``stimuli`` is (n_searches, cols); the result is (n_searches,
+    ceil(rows / 64)) words of type ``WORD`` (little-endian uint64), where
+    row ``r`` is bit ``r % 64`` of word ``r // 64``.
 
     The decisions equal the full kernel's, ``_matched`` applied to
     :func:`row_conductances`, bit for bit; most rows are decided without it.
@@ -366,34 +420,35 @@ def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
 
     The factor ``PRUNE_FACTOR`` on either side dwarfs any rounding error.
     When ``PRUNE_FACTOR * G_th`` is beyond a leg's maximum (very long
-    words), no row is rejected. Per column, the four thresholds of all rows
-    are sorted once into edges with a table of the live and quiet rows
-    between each pair (:func:`_column_bins`): one ``searchsorted`` and
-    one row gather per input and column give the flags. The tables pay off
+    words), no row is rejected. The live (not rejected) and quiet
+    (accepted) rows of an input are row sets, ANDed across columns as in
+    bit-vector packet classification. Per column, the four thresholds of
+    all rows are sorted once into edges with the packed live and quiet row
+    sets between each pair (:func:`_column_bins`): one ``searchsorted`` and
+    one word gather per input and column give the flags. The tables pay off
     only for more inputs than a column has bins (``4 * rows + 1``), and
     they grow with rows squared; for fewer inputs, or tables past
     ``CHUNK_ELEMENTS`` flags (about 256 / sqrt(cols) rows), the same
-    compares are made directly, column by column.
+    compares are made directly, column by column, and packed. Thresholds
+    and tables are kept on the spec for the last ``p`` searched with.
 
     Inputs are processed in chunks of at most ``CHUNK_ELEMENTS`` input x row
-    x column elements (one input when a single word exceeds it), and the
-    kernel takes their ambiguous pairs in slices of at most
-    ``CHUNK_ELEMENTS // cols``, so memory stays bounded even when every
-    pair is ambiguous.
+    x column elements (one input when a single word exceeds it). Only the
+    nonzero words of the ambiguous sets are unpacked to (input, row) pairs,
+    and the kernel takes them in slices of at most ``CHUNK_ELEMENTS //
+    cols``, so memory stays bounded even when every pair is ambiguous.
     """
     stimuli = _check_stimuli(a, stimuli)
-    g1, g2 = a.conductance_matrices()               # (rows, cols)
-    bounds = _prune_thresholds(a, g1, g2, p)        # t1, t2, u1, u2
-    columns = None
+    n = stimuli.shape[0]
     bins = 4 * a.rows + 1                           # per column, at most
-    if bins <= stimuli.shape[0] and bins * a.rows * a.cols <= CHUNK_ELEMENTS:
-        columns = [_column_bins(*(b[:, c] for b in bounds))
-                   for c in range(a.cols)]
-    t1, t2, u1, u2 = (b.T.copy() for b in bounds)   # (cols, rows)
-    out = np.zeros((stimuli.shape[0], a.rows), dtype=bool)
+    lookup = bins <= n and bins * a.rows * a.cols <= CHUNK_ELEMENTS
+    (t1, t2, u1, u2), columns = _search_tables(a, p, lookup)
+    g1, g2 = a.conductance_matrices()               # (rows, cols)
+    n_words = -(-a.rows // 64)
+    out = np.zeros((n, n_words), dtype=WORD)
     step = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
     pair_step = max(1, CHUNK_ELEMENTS // a.cols)
-    for start in range(0, stimuli.shape[0], step):
+    for start in range(0, n, step):
         g_t = transistor_conductance(stimuli[start:start + step], p)  # (m, cols)
         if columns is None:
             live = quiet = True
@@ -401,21 +456,38 @@ def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
                 g = g_t[:, c, None]
                 live = live & (g > t1[c]) & (g < t2[c])
                 quiet = quiet & (g >= u1[c]) & (g <= u2[c])
-            quiet &= live
+            live, quiet = _pack(live), _pack(quiet & live)
         else:
-            live = quiet = True
+            live = quiet = WORD.type(2 ** 64 - 1)   # every row
             for (edges, live_c, quiet_c), g in zip(columns, g_t.T):
                 b = np.searchsorted(edges, g, "right")
                 live = live & live_c.take(b, axis=0)
                 quiet = quiet & quiet_c.take(b, axis=0)
         out[start:start + g_t.shape[0]] = quiet
-        i, r = np.divmod(np.flatnonzero(live & ~quiet), a.rows)
-        # often none; slices bound the kernel's memory when a word is long
+        ambiguous = live & ~quiet
+        w = np.flatnonzero(ambiguous)               # often none
+        if w.size == 0:
+            continue
+        j, bit = np.nonzero(_unpack(ambiguous.reshape(-1)[w, None], 64))
+        i, word = np.divmod(w[j], n_words)
+        r = word * 64 + bit
+        # slices bound the kernel's memory when a word is long
         for s in range(0, i.size, pair_step):
             ii, rr = i[s:s + pair_step], r[s:s + pair_step]
-            g_row = _row_sum(a, g1[rr], g2[rr], g_t[ii], p)
-            out[start + ii, rr] = _matched(a, g_row)
+            hit = _matched(a, _row_sum(a, g1[rr], g2[rr], g_t[ii], p))
+            ii, rr = ii[hit], rr[hit]
+            np.bitwise_or.at(out, (start + ii, rr // 64),
+                             WORD.type(1) << (rr % 64).astype(WORD))
     return out
+
+
+def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
+    """Vectorized match decisions: (n_searches, cols) -> (n_searches, rows) bools.
+
+    The row sets of :func:`search_words`, unpacked; the decisions equal the
+    full kernel's, ``_matched`` applied to :func:`row_conductances`.
+    """
+    return _unpack(search_words(a, stimuli, p), a.rows)
 
 
 def discharge_latency(a: ArraySpec, stimulus, row: int, p: DeviceParams) -> float:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .array import make_array, search_many, sweep_column
+from .array import make_array, search_many, search_words, sweep_column
 from .cell import (CellConfig, VoltageInterval, calibrate,
                    calibrated_defaults)
 from .cost import (AreaParams, EnergyParams, compare_range_implementations,
@@ -95,6 +95,19 @@ def _checked(path: str, what: str, parse, doc):
         return parse(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: bad {what} ({type(e).__name__}: {e})") from e
+
+
+def _flag_values(flag: str, text: str, form: str, convert) -> list:
+    """The comma-separated values of ``flag``, one per field of ``form``
+    (such as ``LO,HI,WIDTH``), each through ``convert``; any other text is a
+    :class:`ParseError` naming the flag and the form."""
+    fields = text.split(",")
+    try:
+        if len(fields) == form.count(",") + 1:
+            return [convert(x) for x in fields]
+    except ValueError:
+        pass
+    raise ParseError(f"{flag} {text!r}: expected {form}")
 
 
 def _config_path(args) -> str | None:
@@ -251,7 +264,8 @@ def cmd_sweep(args, config) -> int:
     p = _device_params(args, config)
     step = args.step * 1e-3
     if args.cell:
-        g1, g2 = (float(x) * 1e-6 for x in args.cell.split(","))
+        g1, g2 = (g * 1e-6 for g in _flag_values("--cell", args.cell,
+                                                 "G1_US,G2_US", float))
         cells = [[CellConfig(g1, g2)] * args.cols]
         if args.program_noise:
             cells = _maybe_program(cells, p, args.seed)
@@ -307,7 +321,7 @@ def _parse_features(line: str) -> list[float]:
 
 def _classify_rows(tt: TreeTable, a, feats: list, p) -> list:
     """(label, None) or (None, failure reason) per feature row, from one
-    ``search_many`` call over the rows that can be encoded."""
+    ``search_words`` call over the rows that can be encoded."""
     nf = len(tt.features)
     fits = np.array([len(x) == nf for x in feats], dtype=bool)
     xs = np.array([x if ok else [0.0] * nf for x, ok in zip(feats, fits)])
@@ -315,7 +329,7 @@ def _classify_rows(tt: TreeTable, a, feats: list, p) -> list:
     codes = tt._reject_codes(xs, fits)
     encodable = np.flatnonzero(codes == 0).tolist()
     labels, wrong = _decode(tt.table,
-                            search_many(a, tt.encode_many(xs[encodable]), p))
+                            search_words(a, tt.encode_many(xs[encodable]), p))
     out = [(None, tt._reject_reason(c)) if c else None for c in codes.tolist()]
     for j, i in enumerate(encodable):
         if j not in wrong:
@@ -372,7 +386,7 @@ def cmd_cost(args, config) -> int:
         ep = ep.without_dac()
     ap = _config_section(args, config, "area", AreaParams)
     if args.rule:
-        lo, hi, width = (int(x) for x in args.rule.split(","))
+        lo, hi, width = _flag_values("--rule", args.rule, "LO,HI,WIDTH", int)
         rule = RangeRule(lo, hi, width, "rule")
         bits = args.compare_bits or [3, 4, 8]
         report = compare_range_implementations(
@@ -450,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("table", nargs="?", help="compiled table JSON")
     c.add_argument("--rows", type=int)
     c.add_argument("--cols", type=int)
-    c.add_argument("--rule", help="LO,HI,WIDTH_BITS range comparison report")
+    c.add_argument("--rule", help="LO,HI,WIDTH range comparison report "
+                   "(WIDTH in bits)")
     c.add_argument("--compare-bits", type=int, nargs="*",
                    help="bits-per-cell options for --rule (default 3 4 8)")
     c.add_argument("--tcam-baseline-cells", type=int,

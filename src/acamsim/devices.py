@@ -177,21 +177,25 @@ def transistor_conductance(v_dl, p: DeviceParams):
     sub-threshold exponential with the configured swing below v_th, and a
     monotone C1 Hermite blend in between. The sub-threshold magnitude at
     threshold is anchored at ``beta * BLEND_V / 4`` so the blend stays
-    monotone (Fritsch-Carlson condition).
+    monotone (Fritsch-Carlson condition). Each element is evaluated on its
+    own branch only: the triode line everywhere, then the exponential where
+    ``v_dl <= v_th`` and the blend where ``v_th < v_dl < v_th + BLEND_V``.
     """
     v = np.asarray(v_dl, dtype=float)
     swing_v = p.swing * 1e-3
     e0 = p.beta * BLEND_V / 4.0
-    u = v - p.v_th
-
-    sub = e0 * np.power(10.0, np.minimum(u, 0.0) / swing_v)
-    tri = p.beta * u
-    # blend endpoint slopes: exponential slope at v_th, beta at v_th + BLEND_V
-    t = np.clip(u / BLEND_V, 0.0, 1.0)
-    blend = _hermite(t, e0, e0 * LN10 / swing_v * BLEND_V, p.beta * BLEND_V,
-                     p.beta * BLEND_V)
-
-    out = np.where(u <= 0.0, sub, np.where(u >= BLEND_V, tri, blend))
+    # out= keeps 0-d inputs as 0-d arrays, which the masks below can index
+    u = np.subtract(v, p.v_th, out=np.empty(v.shape))
+    out = np.multiply(u, p.beta, out=np.empty(v.shape))
+    sub = u <= 0.0
+    if sub.any():
+        out[sub] = e0 * np.power(10.0, u[sub] / swing_v)
+    blend = ~sub & (u < BLEND_V)
+    if blend.any():
+        # endpoint slopes: exponential slope at v_th, beta at v_th + BLEND_V
+        out[blend] = _hermite(u[blend] / BLEND_V, e0,
+                              e0 * LN10 / swing_v * BLEND_V, p.beta * BLEND_V,
+                              p.beta * BLEND_V)
     return float(out) if np.isscalar(v_dl) else out
 
 

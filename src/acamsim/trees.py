@@ -21,11 +21,12 @@ step away from every threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array import make_array, search_many
+from .array import (ArraySpec, _single_rows, _unpack, make_array,
+                    search_words)
 from .cell import VoltageInterval, achievable_window
 from .devices import DeviceParams, TsDeviceParams
 from .errors import (AmbiguousMatchError, DomainError, MalformedTreeError)
@@ -92,7 +93,8 @@ class TreeTable:
     Continuous mode (the default) stores one analog interval per feature;
     quantized mode snaps thresholds to a discrete level family and stores
     level sub-ranges instead. ``variant`` and ``ts`` name the cell the table
-    was compiled for; searches lower it for that cell.
+    was compiled for; searches lower it for that cell, once per
+    :class:`DeviceParams` (the last lowering is kept).
     """
 
     table: CamTable
@@ -101,6 +103,18 @@ class TreeTable:
     family: LevelFamily | None = None  # set in quantized mode
     variant: str = "mosfet"
     ts: TsDeviceParams | None = None
+    # (p, array) of the last lowering, reused while p stays equal
+    _lowered: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+
+    def _array(self, p: DeviceParams) -> ArraySpec:
+        """The table lowered for ``p`` and its cell variant."""
+        if self._lowered is None or self._lowered[0] != p:
+            cells = lower_to_conductances(self.table, p, family=self.family,
+                                          variant=self.variant, ts=self.ts)
+            array = make_array(cells, variant=self.variant, ts_params=self.ts)
+            object.__setattr__(self, "_lowered", (p, array))
+        return self._lowered[1]
 
     def _domain(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([f.lo for f in self.features]),
@@ -233,14 +247,13 @@ def tree_to_cam(t: DecisionTree, p: DeviceParams,
 def classify_many(tt: TreeTable, xs, p: DeviceParams) -> list[str]:
     """Labels of feature vectors ``xs`` (n x features) from one array search.
 
-    The table is lowered for the cell variant it was compiled for. Raises
-    :class:`AmbiguousMatchError` naming the first input that matched zero or
-    several rows (a quantization collision or an in-array boundary shift).
+    The table is lowered for the cell variant it was compiled for, once
+    for as long as ``p`` stays equal. Raises :class:`AmbiguousMatchError`
+    naming the first input that matched zero or several rows (a
+    quantization collision or an in-array boundary shift).
     """
-    cells = lower_to_conductances(tt.table, p, family=tt.family,
-                                  variant=tt.variant, ts=tt.ts)
-    array = make_array(cells, variant=tt.variant, ts_params=tt.ts)
-    labels, wrong = _decode(tt.table, search_many(array, tt.encode_many(xs), p))
+    array = tt._array(p)
+    labels, wrong = _decode(tt.table, search_words(array, tt.encode_many(xs), p))
     if wrong:
         i, rows = next(iter(wrong.items()))
         raise AmbiguousMatchError(
@@ -249,17 +262,20 @@ def classify_many(tt: TreeTable, xs, p: DeviceParams) -> list[str]:
     return labels
 
 
-def _decode(table: CamTable, matched: np.ndarray):
-    """Labels from an (inputs, rows) match matrix.
+def _decode(table: CamTable, words: np.ndarray):
+    """Labels from the matched row sets of :func:`search_words`.
 
-    Returns the label of each input's matching row, and a dict, in input
-    order, from every input that matched zero or several rows to the
-    indices of those rows (its entry in the label list is meaningless).
+    Returns the label of each input whose set holds exactly one row, and a
+    dict, in input order, from every other input to the indices of the
+    rows it matched (its entry in the label list is meaningless). Only
+    those inputs' sets are unpacked.
     """
-    bad = np.flatnonzero(matched.sum(axis=1) != 1).tolist()
-    wrong = {i: tuple(np.flatnonzero(matched[i]).tolist()) for i in bad}
-    row_labels = table.labels()
-    return [row_labels[r] for r in matched.argmax(axis=1).tolist()], wrong
+    row, good = _single_rows(words)
+    labels = np.array(table.labels(), dtype=object).take(row).tolist()
+    bad = np.flatnonzero(~good)
+    wrong = {i: tuple(np.flatnonzero(b).tolist())
+             for i, b in zip(bad.tolist(), _unpack(words[bad], table.n_rows))}
+    return labels, wrong
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_WORD_LENGTH_CAP,
                            effective_bounds_in_array, make_array,
                            match_threshold_conductance, max_word_length,
                            row_conductances, search, search_many,
-                           sweep_column)
+                           search_words, sweep_column)
 from acamsim.cell import (CellConfig, VoltageInterval, achievable_window,
                           bounds_from_conductance, conductance_from_bounds)
 from acamsim.devices import (pulldown_conductance, transistor_conductance,
@@ -585,6 +585,94 @@ class TestPrunedSearch:
             pairs.clear()
             search_many(a, stims[:4096], params)
             assert sum(pairs) == 0
+
+
+class TestPackedRowSets:
+    """search_words packs row r into bit r % 64 of word r // 64."""
+
+    @staticmethod
+    def _unpacked(words, rows):
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, rows:].any()  # no bit past the last row
+        return bits[:, :rows].astype(bool)
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("kernel_only", [False, True])
+    def test_equals_full_kernel_at_word_boundaries(
+            self, params, ts_params, variant, rows, kernel_only, monkeypatch):
+        # kernel_only: a factor this large rejects and accepts nothing, so
+        # every pair, in every word, is set from the kernel
+        ts = ts_params if variant == "ts" else None
+        rng = np.random.default_rng(79 + rows)
+        cells = _random_cells(rng, params, variant, ts, min(rows, 24), 3)
+        cells = cells + [cells[k] for k in rng.integers(len(cells),
+                                                        size=rows - len(cells))]
+        # the first and the last row store one wide interval, so the edge
+        # sweeps of row 0 set bits in the last word
+        cells[0] = cells[-1] = [reference_cell(params, variant, ts)] * 3
+        a = make_array(cells, variant=variant, ts_params=ts)
+        stims = _differential_stimuli(rng, a, params, sweep_rows=min(rows, 4))
+        if kernel_only:
+            monkeypatch.setattr(acamsim.array, "PRUNE_FACTOR", 1e30)
+            stims = stims[::3]
+        want = _full_kernel(a, stims, params)
+        assert want[:, -1].any() and not want[:, -1].all()
+        bins = 4 * rows + 1
+        # the whole batch takes the per-column lookup tables, and slices of
+        # fewer inputs than a column has bins the direct compares
+        assert bins <= len(stims) and bins * rows * 3 <= CHUNK_ELEMENTS
+        words = search_words(a, stims, params)
+        assert words.dtype == np.dtype("<u8")
+        assert words.shape == (len(stims), -(-rows // 64))
+        assert np.array_equal(self._unpacked(words, rows), want)
+        assert np.array_equal(search_many(a, stims, params), want)
+        few = np.vstack([search_words(a, stims[s:s + bins - 1], params)
+                         for s in range(0, len(stims), bins - 1)])
+        assert np.array_equal(few, words)
+        assert np.array_equal(search_many(a, stims[:bins - 1], params),
+                              want[:bins - 1])
+
+    def test_empty_batch(self, params):
+        a = make_array([[reference_cell(params)]] * 70)
+        assert search_words(a, np.empty((0, 1)), params).shape == (0, 2)
+        assert search_many(a, np.empty((0, 1)), params).shape == (0, 70)
+
+
+class TestSearchTablesCache:
+    """Thresholds and lookup tables are kept for the last DeviceParams."""
+
+    def test_second_params_gives_its_uncached_results(self, params):
+        rng = np.random.default_rng(83)
+        other = replace(params, g_off=3e-9, v_th=params.v_th + 0.01)
+        cells = _random_cells(rng, params, "mosfet", None, 12, 3)
+        a = make_array(cells)
+        stims = _differential_stimuli(rng, a, params, sweep_rows=3)
+        for p in (params, other, params, other):
+            # the lookup tables (whole batch) and the direct compares (one
+            # word) of a fresh spec, and the kernel
+            want = _full_kernel(a, stims, p)
+            fresh = make_array(cells)
+            assert np.array_equal(search_many(fresh, stims, p), want)
+            assert np.array_equal(search_many(a, stims, p), want)
+            assert np.array_equal(search_many(a, stims[:1], p), want[:1])
+        assert not np.array_equal(_full_kernel(a, stims, params),
+                                  _full_kernel(a, stims, other))
+
+    def test_thresholds_are_built_once_per_params(self, params, monkeypatch):
+        built = []
+        prune = acamsim.array._prune_thresholds
+
+        def counted(*args):
+            built.append(args[-1])
+            return prune(*args)
+        monkeypatch.setattr(acamsim.array, "_prune_thresholds", counted)
+        a = make_array([[reference_cell(params)] * 2] * 3)
+        other = replace(params, g_off=1e-9)
+        for p in (params, params, replace(params), other, other, params):
+            search_many(a, [[0.4, 0.4]] * 20, p)
+            search_many(a, [[0.4, 0.4]], p)
+        assert built == [params, other, params]
 
 
 class TestMatchRule:

@@ -527,7 +527,7 @@ class TestClassify:
         inputs = tmp_path / "in.csv"
         inputs.write_text("".join(f"{(k % 16 + 0.5) / 16},{(k // 16 + 0.5) / 16}\n"
                                   for k in range(200)))
-        calls = {"lower_to_conductances": 0, "search_many": 0}
+        calls = {"lower_to_conductances": 0, "search_words": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -541,7 +541,7 @@ class TestClassify:
                                     counted(name, getattr(module, name)))
         assert main(["--out", str(tmp_path / "kl"), "classify", table,
                      str(inputs)]) == 0
-        assert calls == {"lower_to_conductances": 1, "search_many": 1}
+        assert calls == {"lower_to_conductances": 1, "search_words": 1}
 
     def test_program_noise_programs_every_cell_once(self, tmp_path,
                                                     monkeypatch):
@@ -651,6 +651,28 @@ class TestCost:
                      os.path.join(out, "table.json")]) == 0
         doc = json.loads((tmp_path / "c4" / "cost.json").read_text())
         assert doc["rows"] == 6 and doc["cols"] == 4
+
+
+class TestFlagValues:
+    """A comma-separated flag value of the wrong shape is a parse error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cost", "--rule", "1,2"], "--rule '1,2': expected LO,HI,WIDTH"),
+        (["cost", "--rule", "a,b,16"], "--rule 'a,b,16': expected LO,HI,WIDTH"),
+        (["cost", "--rule", "1,2,16,4"],
+         "--rule '1,2,16,4': expected LO,HI,WIDTH"),
+        (["cost", "--rule", "1.5,2,16"],
+         "--rule '1.5,2,16': expected LO,HI,WIDTH"),
+        (["sweep", "--cell", "40"], "--cell '40': expected G1_US,G2_US"),
+        (["sweep", "--cell", "40,x"], "--cell '40,x': expected G1_US,G2_US"),
+        (["sweep", "--cell", "40,80,"], "--cell '40,80,': expected G1_US,G2_US"),
+    ])
+    def test_bad_value_exits_2_naming_flag_and_form(self, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acamsim.devices import (DeviceParams, TsDeviceParams,
-                             divider_gate_voltage, program_memristor,
+from acamsim.devices import (BLEND_V, LN10, DeviceParams, TsDeviceParams,
+                             _hermite, divider_gate_voltage, program_memristor,
                              pulldown_conductance, transistor_conductance,
                              transistor_conductance_inverse,
                              ts_conductance_off_curve)
@@ -94,6 +94,64 @@ class TestTransistorConductance:
         for v in (0.25, params.v_th + 0.002, params.v_th + 0.02, 0.5):
             g = transistor_conductance(v, params)
             assert transistor_conductance_inverse(g, params) == pytest.approx(v, abs=2e-6)
+
+
+def all_branches_conductance(v_dl, p):
+    """Every branch on every element, then a pick per element: the formula
+    ``transistor_conductance`` evaluated before it masked its branches."""
+    v = np.asarray(v_dl, dtype=float)
+    swing_v = p.swing * 1e-3
+    e0 = p.beta * BLEND_V / 4.0
+    u = v - p.v_th
+    sub = e0 * np.power(10.0, np.minimum(u, 0.0) / swing_v)
+    tri = p.beta * u
+    t = np.clip(u / BLEND_V, 0.0, 1.0)
+    blend = _hermite(t, e0, e0 * LN10 / swing_v * BLEND_V, p.beta * BLEND_V,
+                     p.beta * BLEND_V)
+    out = np.where(u <= 0.0, sub, np.where(u >= BLEND_V, tri, blend))
+    return float(out) if np.isscalar(v_dl) else out
+
+
+class TestTransistorConductanceBranches:
+    """Evaluating only the branch each element needs changes no bit."""
+
+    @staticmethod
+    def _grid(p):
+        near = []
+        for edge in (p.v_th, p.v_th + BLEND_V):
+            lo = hi = edge
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                near += [lo, hi]
+            near.append(edge)
+        return np.concatenate([np.linspace(0.0, 1.0, 200001), near])
+
+    @pytest.mark.parametrize("swing", [100.0, 60.0])
+    def test_bit_identical_to_all_branches(self, params, swing):
+        p = replace(params, swing=swing)
+        v = self._grid(p)
+        assert np.array_equal(transistor_conductance(v, p),
+                              all_branches_conductance(v, p))
+        v2 = v[:200000].reshape(400, 500)
+        got = transistor_conductance(v2, p)
+        assert got.shape == (400, 500)
+        assert np.array_equal(got, all_branches_conductance(v2, p))
+        for x in v[200001:].tolist() + v[::4001].tolist():
+            assert transistor_conductance(x, p) == all_branches_conductance(x, p)
+            zero_d = transistor_conductance(np.array(x), p)
+            assert type(zero_d) is np.ndarray and zero_d.shape == ()
+            assert zero_d == all_branches_conductance(np.array(x), p)
+
+    def test_return_types(self, params):
+        for x in (0.1, 0.3, params.v_th + BLEND_V / 2, np.float64(0.7)):
+            assert type(transistor_conductance(x, params)) is float
+        for shape in ((), (1,), (3,), (2, 3)):
+            out = transistor_conductance(np.full(shape, 0.4), params)
+            assert type(out) is np.ndarray and out.shape == shape
+            assert out.dtype == np.float64
+        out = transistor_conductance([0.1, 0.4], params)
+        assert type(out) is np.ndarray and out.shape == (2,)
+        assert transistor_conductance(np.empty((0, 4)), params).shape == (0, 4)
 
 
 class TestPulldownConductance:

@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import acamsim.trees
 from acamsim.cell import VoltageInterval, achievable_window
 from acamsim.errors import (AmbiguousMatchError, DomainError,
                             MalformedTreeError, OutOfWindowError)
@@ -169,6 +172,110 @@ class TestClassify:
             classify_many(tt, [[0.2], [0.55], [0.9]], params)
         assert str(err.value) == "input 1: 0 rows matched (expected exactly 1)"
         assert err.value.matched_rows == ()
+
+class TestWideTables:
+    """Tables past 64 rows: row sets span several words."""
+
+    @pytest.mark.parametrize("seed, depth, rows", [(6, 9, 105), (10, 10, 136)])
+    def test_tree_of_more_than_64_leaves_matches_traversal(self, params, seed,
+                                                           depth, rows):
+        # 105 rows x 4 columns take the per-column lookup tables for a large
+        # batch, 136 rows are past their size
+        tree = make_random_tree(random.Random(seed), 4, max_depth=depth)
+        tt = tree_to_cam(tree, params)
+        assert tt.table.n_rows == rows
+        nrng = np.random.default_rng(13)
+        xs = (nrng.integers(16, size=(6000, 4)) + 0.5) / 16
+        assert classify_many(tt, xs, params) == [tree.classify(x) for x in xs]
+        # fewer inputs than a column has bins take the direct compares
+        assert (classify_many(tt, xs[:50], params)
+                == [tree.classify(x) for x in xs[:50]])
+
+    def test_ambiguous_match_names_rows_in_several_words(self, params):
+        # 70 disjoint rows on a 7 x 10 grid of two features, then copies of
+        # rows 6 and 66: row 70 is bit 6 of the second word, as row 6 is of
+        # the first
+        w = achievable_window(params)
+
+        def span(k):
+            return IntervalWord(tuple(
+                VoltageInterval(w.lo + (i + 0.1) / n * w.width,
+                                w.lo + (i + 0.9) / n * w.width)
+                for i, n in ((k // 10, 7), (k % 10, 10))))
+
+        rows = tuple((span(k), f"r{k}") for k in range(70))
+        table = CamTable(rows=rows + ((span(6), "x"), (span(66), "y")))
+        tt = TreeTable(table=table, features=(UNIT, FeatureSpec("y", 0, 1)),
+                       window=w)
+        mid = [[(k // 10 + 0.5) / 7, (k % 10 + 0.5) / 10] for k in range(70)]
+        with pytest.raises(AmbiguousMatchError) as err:
+            classify_many(tt, mid, params)
+        assert str(err.value) == "input 6: 2 rows matched (expected exactly 1)"
+        assert err.value.matched_rows == (6, 70)
+        with pytest.raises(AmbiguousMatchError) as err:
+            classify_many(tt, mid[7:], params)
+        assert str(err.value) == "input 59: 2 rows matched (expected exactly 1)"
+        assert err.value.matched_rows == (66, 71)
+        labels = classify_many(tt, [m for k, m in enumerate(mid)
+                                    if k not in (6, 66)], params)
+        assert labels == [f"r{k}" for k in range(70) if k not in (6, 66)]
+        with pytest.raises(AmbiguousMatchError) as err:
+            classify_many(tt, [mid[5], [0.0, 0.0]], params)
+        assert str(err.value) == "input 1: 0 rows matched (expected exactly 1)"
+        assert err.value.matched_rows == ()
+
+
+class TestLoweringCache:
+    """A tree table is lowered once for as long as the parameters stay equal."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        lower = acamsim.trees.lower_to_conductances
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return lower(*args, **kwargs)
+        monkeypatch.setattr(acamsim.trees, "lower_to_conductances", counted)
+        return calls
+
+    def test_repeated_calls_lower_once(self, params, monkeypatch):
+        calls = self._counted(monkeypatch)
+        tree = make_random_tree(random.Random(17), 3, max_depth=5)
+        tt = tree_to_cam(tree, params)
+        xs = [[(i + 0.5) / 16, (j + 0.5) / 16, 17 / 32] for i in range(16)
+              for j in range(16)]
+        want = [tree.classify(x) for x in xs]
+        for _ in range(4):
+            assert classify_many(tt, xs, params) == want
+        assert classify_many(tt, xs, replace(params)) == want
+        assert calls == [params]
+
+    @staticmethod
+    def _outcome(tt, xs, p):
+        try:
+            return classify_many(tt, xs, p)
+        except AmbiguousMatchError as e:
+            return str(e), e.matched_rows
+
+    @pytest.mark.parametrize("g_off", [0.0, 3e-8, 1e-6])
+    def test_new_params_give_a_fresh_lowering_result(self, params,
+                                                     monkeypatch, g_off):
+        calls = self._counted(monkeypatch)
+        tree = make_random_tree(random.Random(19), 2, max_depth=6)
+        tt = tree_to_cam(tree, params)
+        other = replace(params, g_off=g_off)
+        rng = np.random.default_rng(23)
+        xs = np.vstack([(rng.integers(16, size=(300, 2)) + 0.5) / 16,
+                        rng.uniform(size=(300, 2))])
+        first = self._outcome(tt, xs, params)
+        for p in (other, params, other):
+            assert self._outcome(tt, xs, p) == self._outcome(replace(tt), xs, p)
+        assert self._outcome(tt, xs, params) == first
+        # each switch lowers once, and so does each fresh table
+        assert calls == [params, other, other, params, params, other, other,
+                         params]
+
 
 class TestQuantizedMode:
     def test_matches_traversal_on_lattice_safe_trees(self, params):
