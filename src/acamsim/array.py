@@ -9,9 +9,11 @@ pull-down legs of all its cells; the row matches when the ML is still above
 so the sense criterion is a row-conductance threshold
 ``G_th = C_ML * ln(1/sense_frac) / t_sense``: a row matches when
 ``G_row <= G_th``. Every match decision is made on ``G_th`` (``_matched``);
-``V_ML`` at the sense instant is only reported. Sub-threshold leakage of the
-matching cells adds to G_row and slightly moves every stored boundary as the
-word gets longer; ``effective_bounds_in_array`` measures that shift and
+``V_ML`` at the sense instant is only reported. The batched searches equal
+the full kernel ``row_conductances``, which ``discharge_latency`` and
+``sweep_column`` read directly. Sub-threshold leakage of the matching cells
+adds to G_row and slightly moves every stored boundary as the word gets
+longer; ``effective_bounds_in_array`` measures that shift and
 ``analytic_range_shift`` estimates it from the sub-threshold sensitivity.
 
 The ``ts`` variant replaces the pull-down transistors with volatile
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import CellConfig, VoltageInterval, bounds_from_conductance
-from .devices import (DeviceParams, TsDeviceParams, inverter_output,
+from .devices import (DeviceParams, TsDeviceParams, _divider_midpoint,
+                      _divider_transistor, _inverter_input, inverter_output,
                       pulldown_conductance, transistor_conductance,
                       ts_conductance_off_curve)
 from .errors import (DomainError, EmptyIntervalError, NoDischargeError)
@@ -62,25 +65,6 @@ class Parasitics:
         for name in ("r_ml", "c_ml"):
             if getattr(self, name) < 0:
                 raise DomainError(f"parasitic {name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class RowResult:
-    matched: bool
-    v_ml_at_sense: float
-    latency: float | None  # ML threshold-crossing time; None when it never crosses
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    rows: tuple[RowResult, ...]
-
-    @property
-    def matched(self) -> tuple[bool, ...]:
-        return tuple(r.matched for r in self.rows)
-
-    def matched_rows(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.rows) if r.matched)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no value equality: by identity
@@ -191,9 +175,8 @@ def _row_sum(a: ArraySpec, g1, g2, g_t, p: DeviceParams) -> np.ndarray:
     against each other. The M1 side drives its leg's gate directly, the M2
     side goes through the inverter.
     """
-    v_g1 = p.v_slhi * g1 / (g1 + g_t)
-    v_div2 = p.v_slhi * g2 / (g2 + g_t)
-    v_g2 = inverter_output(v_div2, p)
+    v_g1 = _divider_midpoint(g1, g_t, p)
+    v_g2 = inverter_output(_divider_midpoint(g2, g_t, p), p)
     g_cell = (_leg(v_g1, a.variant, p, a.ts_params)
               + _leg(v_g2, a.variant, p, a.ts_params))
     return g_cell.sum(axis=-1)
@@ -251,9 +234,9 @@ def _gate_bounds(g1: np.ndarray, g2: np.ndarray, v_g: float,
     there on. A side that never crosses ``v_g`` gets ``inf``.
     """
     never = np.full(g1.shape, np.inf)
-    b1 = g1 * (p.v_slhi / v_g - 1.0) if v_g > 0.0 else never
-    v_d = p.v_th_inv - (v_g - p.v_th_inv) / p.inv_gain
-    b2 = g2 * (p.v_slhi / v_d - 1.0) if v_d > 0.0 else never
+    b1 = _divider_transistor(g1, v_g, p) if v_g > 0.0 else never
+    v_d = _inverter_input(v_g, p)
+    b2 = _divider_transistor(g2, v_d, p) if v_d > 0.0 else never
     return b1, b2
 
 
@@ -327,28 +310,6 @@ def _crossing_latency(a: ArraySpec, g_row: float) -> float | None:
         return None
     r_wire = a.cols * a.parasitics.r_ml
     return match_threshold_conductance(a) * a.t_sense * (1.0 / g_row + r_wire)
-
-
-def search(a: ArraySpec, stimulus, p: DeviceParams) -> SearchResult:
-    """Search one stimulus word against every row of the array.
-
-    Rows are independent: each row's result is a pure function of its own
-    cells, the stimulus, and the shared ML capacitance.
-    """
-    stimulus = np.asarray(stimulus, dtype=float)
-    if stimulus.ndim != 1:
-        raise DomainError("stimulus must be a flat voltage vector")
-    g_row = row_conductances(a, stimulus[None, :], p)[0]
-    v_ml = _v_ml_at_sense(a, g_row)
-    matched = _matched(a, g_row)
-    rows = []
-    for r in range(a.rows):
-        lat = None
-        if not matched[r]:
-            lat = _crossing_latency(a, float(g_row[r]))
-        rows.append(RowResult(matched=bool(matched[r]),
-                              v_ml_at_sense=float(v_ml[r]), latency=lat))
-    return SearchResult(rows=tuple(rows))
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -491,17 +452,20 @@ def search_many(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
 
 
 def discharge_latency(a: ArraySpec, stimulus, row: int, p: DeviceParams) -> float:
-    """Analytic ML crossing time for a mismatching row.
+    """Analytic ML crossing time of ``row`` for one stimulus word.
 
     Raises :class:`NoDischargeError` when the row matches (its ML never
     reaches the sense level by definition of the match).
     """
     if not (0 <= row < a.rows):
         raise DomainError(f"row {row} outside array")
-    result = search(a, stimulus, p)
-    if result.rows[row].matched:
+    stimulus = np.asarray(stimulus, dtype=float)
+    if stimulus.ndim != 1:
+        raise DomainError("stimulus must be a flat voltage vector")
+    g_row = row_conductances(a, stimulus[None, :], p)[0, row]
+    if _matched(a, g_row):
         raise NoDischargeError(f"row {row} matches; its ML does not cross")
-    return result.rows[row].latency
+    return _crossing_latency(a, float(g_row))
 
 
 # ---------------------------------------------------------------------------

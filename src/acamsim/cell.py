@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import (DeviceParams, TsDeviceParams, transistor_conductance,
-                      transistor_conductance_inverse)
+from .devices import (DeviceParams, TsDeviceParams, _divider_memristor,
+                      _divider_transistor, _inverter_input,
+                      transistor_conductance, transistor_conductance_inverse)
 from .errors import (CalibrationError, DomainError, InconsistentCellError,
                      OutOfWindowError, PackingError)
 
@@ -83,10 +84,7 @@ def _crossing_voltages(p: DeviceParams, variant: str,
     if variant == "ts":
         if ts is None:
             raise DomainError("ts variant requires TsDeviceParams")
-        # inverter output hits ts.v_threshold when its input is this far
-        # below v_th_inv
-        v_div2 = p.v_th_inv - (ts.v_threshold - p.v_th_inv) / p.inv_gain
-        return ts.v_threshold, v_div2
+        return ts.v_threshold, _inverter_input(ts.v_threshold, p)
     raise DomainError(f"unknown cell variant {variant!r}")
 
 
@@ -94,13 +92,12 @@ def _bound_from_g(g: float, v_cross: float, p: DeviceParams) -> float:
     """DL voltage where the divider midpoint crosses ``v_cross``.
 
     The midpoint equals v_cross when the transistor conductance reaches
-    ``g * (v_slhi / v_cross - 1)``; inverting the transistor curve gives the
-    bound directly (numeric only inside the blend window).
+    ``_divider_transistor(g, v_cross)``; inverting the transistor curve gives
+    the bound directly (numeric only inside the blend window).
     """
     if not (0.0 < v_cross < p.v_slhi):
         raise DomainError(f"crossing level {v_cross} outside (0, v_slhi)")
-    g_t_needed = g * (p.v_slhi / v_cross - 1.0)
-    v = transistor_conductance_inverse(g_t_needed, p)
+    v = transistor_conductance_inverse(_divider_transistor(g, v_cross, p), p)
     return min(max(v, 0.0), 1.0)
 
 
@@ -152,14 +149,14 @@ def _conductance_targets(lo, hi, p: DeviceParams, variant: str,
 
     ``lo`` and ``hi`` are arrays of one shape (one entry per cell). Uses the
     divider equation in closed form: the midpoint sits at the crossing level
-    when ``g = G_T(v) * v_cross / (v_slhi - v_cross)``. Raises
+    when ``g = _divider_memristor(G_T(v), v_cross)``. Raises
     :class:`OutOfWindowError` for the first cell in C order whose target
     falls outside the programmable window, its lower bound checked before
     its upper; the message starts with ``where(flat index of that cell)``.
     """
     v_lo_cross, v_hi_cross = _crossing_voltages(p, variant, ts)
-    g1 = transistor_conductance(lo, p) * v_lo_cross / (p.v_slhi - v_lo_cross)
-    g2 = transistor_conductance(hi, p) * v_hi_cross / (p.v_slhi - v_hi_cross)
+    g1 = _divider_memristor(transistor_conductance(lo, p), v_lo_cross, p)
+    g2 = _divider_memristor(transistor_conductance(hi, p), v_hi_cross, p)
     ok1 = (p.g_min <= g1) & (g1 <= p.g_max)
     bad = ~(ok1 & (p.g_min <= g2) & (g2 <= p.g_max))
     if bad.any():

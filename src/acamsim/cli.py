@@ -5,11 +5,11 @@ machine-first (JSON/CSV) with text grids beside them; there is no plotting.
 Exit codes: 0 success, 2 parse/input error, 3 domain error, 4 convergence
 error. ``search`` and ``classify`` lower their table once and answer the whole
 input file with one batched array search. ``compile`` records the cell
-variant in a tree table and ``classify`` searches with that variant; a
-``--variant`` that contradicts it is a domain error. ``classify`` reports an
-input line it cannot classify as an ``ERROR:`` label naming the line, counts
-such lines on stderr, and still exits 0. All commands are deterministic for
-a fixed --seed.
+variant in a tree table and ``sweep``, ``search`` and ``classify`` search
+with that variant; a ``--variant`` that contradicts it is a domain error.
+``classify`` reports an input line it cannot classify as an ``ERROR:`` label
+naming the line, counts such lines on stderr, and still exits 0. All
+commands are deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .trees import (FeatureSpec, TreeTable, _decode, tree_from_json_dict,
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
+
+_VARIANT_HELP = ("cell variant; must match the one a tree table records "
+                 "(default: that one, else mosfet)")
 
 
 def _read_json(path: str):
@@ -260,6 +263,18 @@ def _load_compiled(path: str):
     return _checked(path, '"table"', table_from_json_dict, doc["table"]), doc
 
 
+def _table_variant(args, doc: dict) -> str:
+    """The cell variant a compiled table document is searched with: the one
+    it records, else ``--variant`` (default mosfet). A ``--variant`` that
+    contradicts the record is a :class:`DomainError`."""
+    # rule tables and older tree tables record no variant
+    variant = doc.get("variant", args.variant or "mosfet")
+    if args.variant not in (None, variant):
+        raise DomainError(f"table was compiled for --variant {variant}, "
+                          f"not --variant {args.variant}")
+    return variant
+
+
 def cmd_sweep(args, config) -> int:
     p = _device_params(args, config)
     step = args.step * 1e-3
@@ -269,12 +284,12 @@ def cmd_sweep(args, config) -> int:
         cells = [[CellConfig(g1, g2)] * args.cols]
         if args.program_noise:
             cells = _maybe_program(cells, p, args.seed)
-        a = make_array(cells, variant=args.variant)
+        a = make_array(cells, variant=args.variant or "mosfet")
     else:
         if not args.table:
             raise DomainError("sweep needs a table file or --cell G1_US,G2_US")
-        table, _ = _load_compiled(args.table)
-        a = _table_array(table, p, args, args.variant)
+        table, doc = _load_compiled(args.table)
+        a = _table_array(table, p, args, _table_variant(args, doc))
     if not (0 <= args.column < a.cols):
         raise DomainError(f"--column {args.column} outside [0, {a.cols})")
     samples = sweep_column(a, args.column, p, step=step)
@@ -296,10 +311,10 @@ def cmd_sweep(args, config) -> int:
 
 def cmd_search(args, config) -> int:
     p = _device_params(args, config)
-    table, _ = _load_compiled(args.table)
+    table, doc = _load_compiled(args.table)
     if table.bits_per_cell is None:
         raise DomainError("search needs a digit table (compile with --bits)")
-    a = _table_array(table, p, args, args.variant)
+    a = _table_array(table, p, args, _table_variant(args, doc))
     family = default_level_family(1 << table.bits_per_cell, p,
                                   a.variant, a.ts_params)
     values = [v for _, v in _read_input_lines(args.inputs, int)]
@@ -346,11 +361,7 @@ def cmd_classify(args, config) -> int:
     table, doc = _load_compiled(args.table)
     if doc.get("kind") != "tree_table":
         raise DomainError("classify needs a compiled tree table")
-    # documents written before compile recorded the variant do not carry it
-    variant = doc.get("variant", args.variant or "mosfet")
-    if args.variant not in (None, variant):
-        raise DomainError(f"table was compiled for --variant {variant}, "
-                          f"not --variant {args.variant}")
+    variant = _table_variant(args, doc)
     family = (_checked(args.table, '"family"', family_from_json_dict,
                        doc["family"]) if "family" in doc else None)
     features, window = _checked(
@@ -441,23 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--column", type=int, default=0, help="column index to sweep")
     c.add_argument("--step", type=float, default=1.0, help="sweep step in mV")
     c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"], default="mosfet")
+    c.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
     c.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("search", help="search integer inputs against a table")
     c.add_argument("table", help="compiled digit-table JSON")
     c.add_argument("inputs", help="file with one integer per line")
     c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"], default="mosfet")
+    c.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
     c.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("classify", help="classify feature vectors with a tree table")
     c.add_argument("table", help="compiled tree-table JSON")
     c.add_argument("inputs", help="CSV of feature vectors, one per line")
     c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"],
-                   help="must match the variant the table was compiled for "
-                        "(default: that variant)")
+    c.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
     c.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("cost", help="energy/area report")

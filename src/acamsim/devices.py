@@ -10,8 +10,8 @@ expressed as conductances:
   vs. DL voltage: linear (triode) ``beta * (v - v_th)`` above threshold, a
   sub-threshold exponential with slope ``swing`` mV/decade below it, joined
   C1 over a small blend window so root-finding never sees a kink.
-* ``divider_gate_voltage`` - the divider midpoint,
-  ``v_slhi * g_m / (g_m + G_T(v_dl))``.
+* ``_divider_midpoint`` - the midpoint ``v_slhi * g_m / (g_m + g_t)``;
+  it, its two inverses and the inverter pair are the one divider model.
 * ``pulldown_conductance`` - the ML pull-down channel vs. its gate voltage:
   ``g_on`` at/above threshold, ``g_off * 10**((v_g - v_th_ml)/swing)`` below,
   again C1-blended at the top of the sub-threshold branch.
@@ -223,27 +223,6 @@ def transistor_conductance_inverse(g_t: float, p: DeviceParams) -> float:
     return 0.5 * (lo + hi)
 
 
-def divider_gate_voltage(g_m, v_dl, p: DeviceParams):
-    """Divider midpoint voltage ``v_slhi * g_m / (g_m + G_T(v_dl))``.
-
-    Strictly decreasing in v_dl and strictly increasing in g_m: a larger
-    memristor conductance holds the pull-down gate high up to a larger DL
-    voltage, which is what moves the cell's lower bound up.
-    """
-    g = np.asarray(g_m, dtype=float)
-    if np.any(g < p.g_min) or np.any(g > p.g_max):
-        raise DomainError(
-            f"memristor conductance outside window [{p.g_min:.3e}, {p.g_max:.3e}] S")
-    v = np.asarray(v_dl, dtype=float)
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise DomainError("DL voltage must lie in [0, 1] V")
-    g_t = transistor_conductance(v, p)
-    out = p.v_slhi * g / (g + g_t)
-    if np.isscalar(g_m) and np.isscalar(v_dl):
-        return float(out)
-    return out
-
-
 def inverter_output(v_in, p: DeviceParams):
     """Output of the in-cell inverter driving the upper-bound pull-down gate.
 
@@ -253,6 +232,27 @@ def inverter_output(v_in, p: DeviceParams):
     v = np.asarray(v_in, dtype=float)
     out = np.clip(p.v_th_inv - p.inv_gain * (v - p.v_th_inv), 0.0, p.v_slhi)
     return float(out) if np.isscalar(v_in) else out
+
+
+def _inverter_input(v_out, p: DeviceParams):
+    """Inverter input at which its linear region outputs ``v_out``."""
+    return p.v_th_inv - (v_out - p.v_th_inv) / p.inv_gain
+
+
+def _divider_midpoint(g_m, g_t, p: DeviceParams):
+    """Midpoint of memristor ``g_m`` (to SL_hi) over transistor ``g_t``."""
+    return p.v_slhi * g_m / (g_m + g_t)
+
+
+def _divider_transistor(g_m, v_mid, p: DeviceParams):
+    """Transistor conductance putting the midpoint over ``g_m`` at ``v_mid``."""
+    return g_m * (p.v_slhi / v_mid - 1.0)
+
+
+def _divider_memristor(g_t, v_mid, p: DeviceParams):
+    """Memristor conductance putting the midpoint over ``g_t`` at ``v_mid``
+    (in this form: lowered conductance targets depend on its rounding)."""
+    return g_t * v_mid / (p.v_slhi - v_mid)
 
 
 def _log_blend_curve(v, v_on, swing_v, blend_v, g_off, g_on, floor):

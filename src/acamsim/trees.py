@@ -310,14 +310,3 @@ def tree_from_json_dict(doc: dict) -> DecisionTree:
         raise DomainError("tree document missing 'root'")
     return DecisionTree(features=features, root=parse(doc["root"]))
 
-
-def tree_to_json_dict(t: DecisionTree) -> dict:
-    def emit(node):
-        if isinstance(node, TreeLeaf):
-            return {"label": node.label}
-        return {"feature": node.feature, "threshold": node.threshold,
-                "left": emit(node.left), "right": emit(node.right)}
-
-    return {"features": [{"name": f.name, "lo": f.lo, "hi": f.hi}
-                         for f in t.features],
-            "root": emit(t.root)}

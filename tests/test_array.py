@@ -12,12 +12,12 @@ from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_WORD_LENGTH_CAP,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
                            match_threshold_conductance, max_word_length,
-                           row_conductances, search, search_many,
-                           search_words, sweep_column)
+                           row_conductances, search_many, search_words,
+                           sweep_column)
 from acamsim.cell import (CellConfig, VoltageInterval, achievable_window,
                           bounds_from_conductance, conductance_from_bounds)
-from acamsim.devices import (pulldown_conductance, transistor_conductance,
-                             ts_conductance_off_curve)
+from acamsim.devices import (TsDeviceParams, pulldown_conductance,
+                             transistor_conductance, ts_conductance_off_curve)
 from acamsim.errors import (DomainError, EmptyIntervalError, NoDischargeError)
 from acamsim.tables import lower_to_conductances
 from acamsim.trees import tree_to_cam
@@ -34,15 +34,14 @@ def reference_cell(params, variant="mosfet", ts=None):
 class TestSearch:
     def test_single_cell_match_and_mismatch(self, params):
         a = make_array([[CellConfig(40e-6, 80e-6)]])
-        assert search(a, [0.40], params).rows[0].matched
-        assert not search(a, [0.30], params).rows[0].matched
-        assert not search(a, [0.50], params).rows[0].matched
+        got = search_many(a, [[0.40], [0.30], [0.50]], params)[:, 0]
+        assert got.tolist() == [True, False, False]
 
     def test_wildcard_row_matches_everything_in_window(self, params):
         w = achievable_window(params)
         a = make_array([[CellConfig(params.g_min, params.g_max)] * 6])
-        for v in np.linspace(w.lo, w.hi, 25):
-            assert search(a, [v] * 6, params).rows[0].matched
+        stims = np.repeat(np.linspace(w.lo, w.hi, 25)[:, None], 6, axis=1)
+        assert search_many(a, stims, params).all()
 
     def test_match_set_equals_containment_oracle(self, params):
         # one swept column in a wide array; all rows biased to match elsewhere
@@ -61,9 +60,10 @@ class TestSearch:
             row.insert(0, conductance_from_bounds(iv, params))
             cells.append(row)
         a = make_array(cells)
-        for v in np.linspace(w.lo + 0.01, w.hi - 0.01, 40):
-            stim = [v] + [REFERENCE_INTERVAL.mid] * (cols - 1)
-            got = search(a, stim, params).matched
+        vs = np.linspace(w.lo + 0.01, w.hi - 0.01, 40)
+        stims = np.full((len(vs), cols), REFERENCE_INTERVAL.mid)
+        stims[:, 0] = vs
+        for v, got in zip(vs, search_many(a, stims, params)):
             for r in range(rows):
                 iv = swept_intervals[r]
                 if min(abs(v - iv.lo), abs(v - iv.hi)) < 0.03:
@@ -78,10 +78,13 @@ class TestSearch:
                                   rng.uniform(70e-6, 140e-6))
                        for _ in range(4)] for _ in range(7)]
         grown = make_array([[cell] * 4] + extra_rows)
-        for v in np.arange(0.0, 1.0001, 0.001):
-            stim = [v, 0.38, 0.38, 0.38]
-            assert (search(base, stim, params).rows[0]
-                    == search(grown, stim, params).rows[0])
+        stims = np.full((1001, 4), 0.38)
+        stims[:, 0] = np.arange(0.0, 1.0001, 0.001)
+        # equal row conductances give equal decisions, ML levels and latencies
+        assert np.array_equal(row_conductances(base, stims, params)[:, 0],
+                              row_conductances(grown, stims, params)[:, 0])
+        assert np.array_equal(search_many(base, stims, params)[:, 0],
+                              search_many(grown, stims, params)[:, 0])
 
     def test_single_bit_mismatch_dominates_all_match(self, params):
         cell = reference_cell(params)
@@ -108,14 +111,15 @@ class TestSearch:
     def test_dimension_mismatch_rejected(self, params):
         a = make_array([[reference_cell(params)] * 3])
         with pytest.raises(DomainError):
-            search(a, [0.4, 0.4], params)
+            search_many(a, [[0.4, 0.4]], params)
 
     def test_boundary_tie_counts_as_match(self, params):
         # exactly at the sense level the row still reports a match
         a = make_array([[reference_cell(params)]])
-        res = search(a, [REFERENCE_INTERVAL.mid], params)
-        assert res.rows[0].matched
-        assert res.rows[0].v_ml_at_sense >= a.sense_frac * a.v_precharge
+        g_row = row_conductances(a, [[REFERENCE_INTERVAL.mid]], params)
+        assert _matched(a, g_row)[0, 0]
+        assert search_many(a, [[REFERENCE_INTERVAL.mid]], params)[0, 0]
+        assert _v_ml_at_sense(a, g_row)[0, 0] >= a.sense_frac * a.v_precharge
 
 
 class TestTsVariant:
@@ -123,10 +127,10 @@ class TestTsVariant:
         cell = reference_cell(params, "ts", ts_params)
         a = make_array([[cell]], variant="ts", ts_params=ts_params)
         level = a.sense_frac * a.v_precharge
-        hit = search(a, [0.38], params).rows[0]
-        miss = search(a, [0.60], params).rows[0]
-        assert hit.matched and hit.v_ml_at_sense < level
-        assert not miss.matched and miss.v_ml_at_sense >= level
+        stims = [[0.38], [0.60]]
+        assert search_many(a, stims, params)[:, 0].tolist() == [True, False]
+        v_hit, v_miss = _v_ml_at_sense(a, row_conductances(a, stims, params))[:, 0]
+        assert v_hit < level <= v_miss
 
     def test_stored_range_round_trips(self, params, ts_params):
         cell = reference_cell(params, "ts", ts_params)
@@ -268,6 +272,14 @@ class TestLatency:
         with pytest.raises(NoDischargeError):
             discharge_latency(a, [0.38, 0.38], 0, params)
 
+    # a non-finite stimulus: test_non_finite_stimulus_rejected
+    @pytest.mark.parametrize("stimulus", [[[0.6, 0.6]], [0.6]],
+                             ids=["2d", "wrong_length"])
+    def test_malformed_stimulus_rejected(self, params, stimulus):
+        a = make_array([[reference_cell(params)] * 2])
+        with pytest.raises(DomainError):
+            discharge_latency(a, stimulus, 0, params)
+
 
 class TestArraySpec:
     def test_stores_read_only_copies(self, params):
@@ -296,8 +308,9 @@ class TestArraySpec:
             ArraySpec(g1=[[cell.g_m1], [cell.g_m1]], g2=[[cell.g_m2]])
         with pytest.raises(DomainError):
             make_array([[cell]], sense_frac=1.5)
+        # make_array supplies the default TS device; ArraySpec needs one
+        assert make_array([[cell]], variant="ts").ts_params == TsDeviceParams()
         with pytest.raises(DomainError):
-            make_array([[cell]], variant="ts")  # needs ts_params via ArraySpec
             ArraySpec(g1=[[cell.g_m1]], g2=[[cell.g_m2]], variant="ts")
 
 
@@ -311,8 +324,9 @@ def test_search_many_agrees_with_scalar_search(params):
     a = make_array(cells)
     stims = rng.uniform(0.0, 1.0, size=(30, 5))
     batched = search_many(a, stims, params)
-    for i in range(30):
-        assert tuple(batched[i]) == search(a, stims[i], params).matched
+    for i in range(30):  # the full kernel, one stimulus at a time
+        want = _matched(a, row_conductances(a, stims[i][None, :], params))[0]
+        assert np.array_equal(batched[i], want)
 
 
 def test_sweep_column_emits_band(params):
@@ -340,7 +354,7 @@ def test_non_finite_stimulus_rejected(params):
         with pytest.raises(DomainError):
             search_many(a, [[0.4, bad]], params)
         with pytest.raises(DomainError):
-            search(a, [bad, 0.4], params)
+            discharge_latency(a, [bad, 0.4], 0, params)
         with pytest.raises(DomainError):
             row_conductances(a, [[0.4, bad]], params)
 

@@ -215,6 +215,21 @@ class TestSweep:
                      "--step", "2"]) == 0
         assert (tmp_path / "s3" / "sweep.csv").exists()
 
+    def test_tree_table_follows_recorded_variant(self, tmp_path, capsys):
+        table = compile_tree(tmp_path, "st", "--variant", "ts")
+        got = {}
+        for name, flags in (("unset", []), ("ts", ["--variant", "ts"])):
+            out = tmp_path / name
+            assert main(["--out", str(out), "sweep", table, "--column", "0",
+                         "--step", "5", *flags]) == 0
+            got[name] = (out / "sweep.csv").read_bytes()
+        assert got["unset"] == got["ts"]
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "m"), "sweep", table,
+                     "--variant", "mosfet"]) == 3
+        assert capsys.readouterr().err == (
+            "error: table was compiled for --variant ts, not --variant mosfet\n")
+
 
 class TestSearch:
     def test_endpoint_membership(self, tmp_path, rules_file, capsys):
@@ -243,9 +258,26 @@ class TestSearch:
         assert lines[3] == "30000,accept"
 
 
+    def test_tree_table_follows_recorded_variant(self, tmp_path, capsys):
+        table = compile_tree(tmp_path, "qv", "--variant", "ts", "--bits", "2")
+        values = tmp_path / "values.txt"
+        values.write_text("1\n2\n3\n")
+        got = {}
+        for name, flags in (("unset", []), ("ts", ["--variant", "ts"])):
+            out = tmp_path / name
+            assert main(["--out", str(out), "search", table, str(values),
+                         *flags]) == 0
+            got[name] = (out / "search.csv").read_bytes()
+        assert got["unset"] == got["ts"]
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "m"), "search", table,
+                     str(values), "--variant", "mosfet"]) == 3
+        assert capsys.readouterr().err == (
+            "error: table was compiled for --variant ts, not --variant mosfet\n")
+
     def test_batch_output_equals_scalar_search(self, tmp_path, rules_file):
         import numpy as np
-        from acamsim.array import make_array, search
+        from acamsim.array import make_array, search_many
         from acamsim.cell import calibrated_defaults
         from acamsim.tables import (default_level_family, encode_integer,
                                     lower_to_conductances, table_from_json_dict)
@@ -263,9 +295,9 @@ class TestSearch:
         a = make_array(lower_to_conductances(table, p))
         family = default_level_family(16, p)
         want = ["value,matched_labels"]
-        for v in values:
-            hit = search(a, np.array(encode_integer(v, table, family)), p)
-            want.append(f"{v},{';'.join(table.rows[i][1] for i in hit.matched_rows())}")
+        for v in values:  # one search per value
+            hit = search_many(a, [encode_integer(v, table, family)], p)[0]
+            want.append(f"{v},{';'.join(table.rows[i][1] for i in np.flatnonzero(hit))}")
         assert (tmp_path / "qb" / "search.csv").read_text() == "\n".join(want) + "\n"
 
     def test_non_integer_line_is_parse_error(self, tmp_path, rules_file,
@@ -410,15 +442,15 @@ class TestClassify:
 
     def test_random_trees_match_traversal_oracle(self, tmp_path):
         import random
-        from acamsim.trees import tree_to_json_dict
-        from test_trees import make_random_tree
+        from test_trees import random_tree_doc
 
         rng = random.Random(5)
         for k in range(3):
             nf = rng.randint(1, 3)
-            tree = make_random_tree(rng, nf, max_depth=4)
+            doc = random_tree_doc(rng, nf, max_depth=4)
+            tree = tree_from_json_dict(doc)
             tree_file = tmp_path / f"t{k}.json"
-            tree_file.write_text(json.dumps(tree_to_json_dict(tree)))
+            tree_file.write_text(json.dumps(doc))
             out = str(tmp_path / f"o{k}")
             assert main(["--out", out, "compile", str(tree_file)]) == 0
             xs = [[(rng.randrange(16) + 0.5) / 16 for _ in range(nf)]

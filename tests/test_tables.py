@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acamsim.array import make_array, search, search_many
+from acamsim.array import make_array, search_many
 from acamsim.cell import (VoltageInterval, bounds_from_conductance,
                           conductance_from_bounds)
 from acamsim.errors import DomainError, OutOfWindowError
@@ -212,10 +212,9 @@ class TestLowering:
         fam = default_level_family(16, params)
         cells = lower_to_conductances(t, params, fam)
         a = make_array(cells)
-        hit = search(a, encode_integer(385, t, fam), params)
-        assert len(hit.matched_rows()) == 1
-        miss = search(a, encode_integer(384, t, fam), params)
-        assert len(miss.matched_rows()) == 0
+        hit, miss = search_many(a, [encode_integer(385, t, fam),
+                                    encode_integer(384, t, fam)], params)
+        assert hit.sum() == 1 and miss.sum() == 0
 
     def test_lowered_table_classifies_all_inputs(self, params):
         # idealized zero-leakage device isolates the interval semantics

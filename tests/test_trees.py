@@ -11,25 +11,25 @@ from acamsim.errors import (AmbiguousMatchError, DomainError,
 from acamsim.tables import CamTable, IntervalWord, lower_to_conductances
 from acamsim.trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode,
                            TreeTable, classify_many,
-                           tree_from_json_dict, tree_to_cam, tree_to_json_dict)
+                           tree_from_json_dict, tree_to_cam)
 
 UNIT = FeatureSpec("x", 0.0, 1.0)
 
 
-def make_random_tree(rng, n_features, max_depth, grid=16):
-    """Random tree with thresholds on a 1/grid lattice and no empty paths.
+def random_tree_doc(rng, n_features, max_depth, grid=16):
+    """JSON document of a random tree with thresholds on a 1/grid lattice
+    and no empty paths.
 
     Splits only where the remaining lattice span leaves room on both sides,
     which keeps every root-to-leaf path satisfiable.
     """
-    features = tuple(FeatureSpec(f"f{i}", 0.0, 1.0) for i in range(n_features))
     counter = [0]
 
     def build(depth, spans):
         open_feats = [i for i, (lo, hi) in enumerate(spans) if hi - lo >= 2]
         if depth >= max_depth or not open_feats or rng.random() < 0.25:
             counter[0] += 1
-            return TreeLeaf(f"leaf{counter[0]}")
+            return {"label": f"leaf{counter[0]}"}
         fi = rng.choice(open_feats)
         lo, hi = spans[fi]
         cut = rng.randrange(lo + 1, hi)
@@ -37,12 +37,18 @@ def make_random_tree(rng, n_features, max_depth, grid=16):
         left_spans[fi] = (lo, cut)
         right_spans = list(spans)
         right_spans[fi] = (cut, hi)
-        return TreeNode(feature=fi, threshold=cut / grid,
-                        left=build(depth + 1, left_spans),
-                        right=build(depth + 1, right_spans))
+        return {"feature": fi, "threshold": cut / grid,
+                "left": build(depth + 1, left_spans),
+                "right": build(depth + 1, right_spans)}
 
-    return DecisionTree(features=features,
-                        root=build(0, [(0, grid)] * n_features))
+    return {"features": [{"name": f"f{i}", "lo": 0.0, "hi": 1.0}
+                         for i in range(n_features)],
+            "root": build(0, [(0, grid)] * n_features)}
+
+
+def make_random_tree(rng, n_features, max_depth, grid=16):
+    """The tree of :func:`random_tree_doc`."""
+    return tree_from_json_dict(random_tree_doc(rng, n_features, max_depth, grid))
 
 
 class TestTreeToCam:
@@ -312,11 +318,17 @@ class TestQuantizedMode:
 
 
 def test_tree_json_round_trip():
-    rng = random.Random(1)
-    tree = make_random_tree(rng, 2, max_depth=4)
-    doc = tree_to_json_dict(tree)
-    back = tree_from_json_dict(doc)
-    assert back == tree
+    doc = {"features": [{"name": "x", "lo": 0, "hi": 1},
+                        {"name": "y", "lo": "-2", "hi": 2.5}],
+           "root": {"feature": 1, "threshold": 0.5,
+                    "left": {"label": 7},
+                    "right": {"feature": 0, "threshold": 0.25,
+                              "left": {"label": "b"},
+                              "right": {"label": "c"}}}}
+    assert tree_from_json_dict(doc) == DecisionTree(
+        features=(UNIT, FeatureSpec("y", -2.0, 2.5)),
+        root=TreeNode(1, 0.5, TreeLeaf("7"),
+                      TreeNode(0, 0.25, TreeLeaf("b"), TreeLeaf("c"))))
     with pytest.raises(DomainError):
         tree_from_json_dict({"features": []})
     with pytest.raises(DomainError):
