@@ -2,9 +2,9 @@
 
 Each row's match line (ML) is precharged and then discharged through the
 pull-down legs of all its cells; the row matches when the ML is still above
-``sense_frac * v_precharge`` at the sense instant. The ML is a lumped RC:
+``sense_frac * V_PRECHARGE`` at the sense instant. The ML is a lumped RC:
 
-    V_ML(t) = v_precharge * exp(-G_row * t / C_ML),   C_ML = cols*c_ml + c_sense
+    V_ML(t) = V_PRECHARGE * exp(-G_row * t / C_ML),   C_ML = cols*c_ml + c_sense
 
 so the sense criterion is a row-conductance threshold
 ``G_th = C_ML * ln(1/sense_frac) / t_sense``: a row matches when
@@ -38,6 +38,8 @@ from .devices import (DeviceParams, TsDeviceParams, _divider_midpoint,
 from .errors import (DomainError, EmptyIntervalError, NoDischargeError)
 
 MAX_WORD_LENGTH_CAP = 2 ** 31 - 1
+# Match-line precharge level (V); it scales V_ML only, not the G_th decision.
+V_PRECHARGE = 0.8
 LN10 = math.log(10.0)
 
 # search_words rejects a row without the electrical kernel when one cell leg
@@ -79,7 +81,6 @@ class ArraySpec:
     g1: np.ndarray
     g2: np.ndarray
     parasitics: Parasitics = Parasitics()
-    v_precharge: float = 0.8
     t_sense: float = 100e-12
     sense_frac: float = 0.5
     variant: str = "mosfet"  # "mosfet" (pull-down) or "ts" (pull-up)
@@ -109,8 +110,8 @@ class ArraySpec:
             raise DomainError(f"unknown variant {self.variant!r}")
         if self.variant == "ts" and self.ts_params is None:
             raise DomainError("ts variant requires ts_params")
-        if self.t_sense <= 0 or self.v_precharge <= 0:
-            raise DomainError("t_sense and v_precharge must be positive")
+        if self.t_sense <= 0:
+            raise DomainError("t_sense must be positive")
 
     @property
     def rows(self) -> int:
@@ -287,8 +288,8 @@ def _column_bins(t1: np.ndarray, t2: np.ndarray, u1: np.ndarray,
 def _v_ml_at_sense(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
     x = g_row * a.t_sense / a.c_ml_total
     if a.variant == "mosfet":
-        return a.v_precharge * np.exp(-x)
-    return a.v_precharge * (1.0 - np.exp(-x))
+        return V_PRECHARGE * np.exp(-x)
+    return V_PRECHARGE * (1.0 - np.exp(-x))
 
 
 def _matched(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
@@ -387,9 +388,9 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
     all rows are sorted once into edges with the packed live and quiet row
     sets between each pair (:func:`_column_bins`): one ``searchsorted`` and
     one word gather per input and column give the flags. The tables pay off
-    only for more inputs than a column has bins (``4 * rows + 1``), and
-    they grow with rows squared; for fewer inputs, or tables past
-    ``CHUNK_ELEMENTS`` flags (about 256 / sqrt(cols) rows), the same
+    only for more inputs than a column has bins (``4 * rows + 1``). For
+    fewer inputs, or when one column's (bins, rows) flags or the packed
+    tables of all columns pass ``CHUNK_ELEMENTS`` (about 256 rows), the same
     compares are made directly, column by column, and packed. Thresholds
     and tables are kept on the spec for the last ``p`` searched with.
 
@@ -401,11 +402,12 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
     """
     stimuli = _check_stimuli(a, stimuli)
     n = stimuli.shape[0]
+    n_words = -(-a.rows // 64)
     bins = 4 * a.rows + 1                           # per column, at most
-    lookup = bins <= n and bins * a.rows * a.cols <= CHUNK_ELEMENTS
+    lookup = (bins <= n and bins * a.rows <= CHUNK_ELEMENTS
+              and 2 * bins * n_words * a.cols <= CHUNK_ELEMENTS)
     (t1, t2, u1, u2), columns = _search_tables(a, p, lookup)
     g1, g2 = a.conductance_matrices()               # (rows, cols)
-    n_words = -(-a.rows // 64)
     out = np.zeros((n, n_words), dtype=WORD)
     step = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
     pair_step = max(1, CHUNK_ELEMENTS // a.cols)
@@ -473,18 +475,19 @@ def discharge_latency(a: ArraySpec, stimulus, row: int, p: DeviceParams) -> floa
 # ---------------------------------------------------------------------------
 
 def _column_sweep(a: ArraySpec, row: int, col: int, p: DeviceParams,
-                  step: float, bias) -> tuple[np.ndarray, np.ndarray]:
+                  step: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid over [0, 1] V at ``step``, and one stimulus per grid point.
 
-    Each stimulus is ``bias`` (by default the midpoints of the intervals
-    stored in ``row``) with column ``col`` at the grid voltage.
+    Each stimulus holds the midpoints of the intervals stored in ``row``,
+    with column ``col`` at the grid voltage.
     """
-    if step <= 0:
+    if not (0 <= row < a.rows and 0 <= col < a.cols):
+        raise DomainError("row/col outside array")
+    if not (0 < step < math.inf):  # NaN fails it too
         raise DomainError("step must be positive")
-    if bias is None:
-        bias = [bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
-                                        a.ts_params).mid
-                for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())]
+    bias = [bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
+                                    a.ts_params).mid
+            for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())]
     grid = np.arange(0.0, 1.0 + step / 2, step)
     stims = np.tile(np.asarray(bias, dtype=float), (len(grid), 1))
     stims[:, col] = grid
@@ -492,8 +495,7 @@ def _column_sweep(a: ArraySpec, row: int, col: int, p: DeviceParams,
 
 
 def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
-                              p: DeviceParams, step: float = 0.002,
-                              bias: np.ndarray | None = None) -> VoltageInterval:
+                              p: DeviceParams, step: float = 0.002) -> VoltageInterval:
     """Matched sub-interval of one cell measured inside the array.
 
     All other columns are driven at the midpoint of their stored intervals
@@ -501,9 +503,7 @@ def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
     the matched band's edges are then refined by bisection to 1 uV. This is
     the in-array, leakage-shifted range of the cell at (row, col).
     """
-    if not (0 <= row < a.rows and 0 <= col < a.cols):
-        raise DomainError("row/col outside array")
-    grid, stims = _column_sweep(a, row, col, p, step, bias)
+    grid, stims = _column_sweep(a, row, col, p, step)
     idx = np.nonzero(search_many(a, stims, p)[:, row])[0]
     if len(idx) == 0:
         raise EmptyIntervalError(
@@ -577,16 +577,14 @@ def analytic_range_shift(n_cols: int, p: DeviceParams) -> float:
 # sweep data products
 # ---------------------------------------------------------------------------
 
-def sweep_column(a: ArraySpec, col: int, p: DeviceParams, step: float = 0.002,
-                 bias: np.ndarray | None = None) -> list[tuple[float, int, float, bool]]:
+def sweep_column(a: ArraySpec, col: int, p: DeviceParams,
+                 step: float = 0.002) -> list[tuple[float, int, float, bool]]:
     """Sweep one column's DL and record (v_dl, row, v_ml, matched) samples.
 
     Other columns sit at their stored-interval midpoints, the standard
     one-column-swept array characterization.
     """
-    if not (0 <= col < a.cols):
-        raise DomainError("col outside array")
-    grid, stims = _column_sweep(a, 0, col, p, step, bias)
+    grid, stims = _column_sweep(a, 0, col, p, step)
     g_row = row_conductances(a, stims, p)
     v_ml = _v_ml_at_sense(a, g_row)
     matched = _matched(a, g_row)

@@ -186,22 +186,25 @@ def conductance_from_bounds(iv: VoltageInterval, p: DeviceParams,
     return CellConfig(g_m1=float(g1[0]), g_m2=float(g2[0]))
 
 
+# How far achievable_window pulls its edges in from the window's images (V).
+WINDOW_MARGIN_V = 0.002
+
+
 def achievable_window(p: DeviceParams, variant: str = "mosfet",
-                      ts: TsDeviceParams | None = None,
-                      margin: float = 0.002) -> VoltageInterval:
+                      ts: TsDeviceParams | None = None) -> VoltageInterval:
     """Voltage window every point of which can serve as either bound.
 
     Both bound mappings must reach the window: a level interval near the
     ceiling still needs its own lower bound programmed, so the ceiling is
     the smaller of the two g_max images (and the floor the larger of the
-    two g_min images), pulled in by ``margin``.
+    two g_min images), pulled in by ``WINDOW_MARGIN_V``.
     """
     lo_floor = lower_bound_voltage(p.g_min, p, variant, ts)
     lo_ceil = lower_bound_voltage(p.g_max, p, variant, ts)
     hi_floor = upper_bound_voltage(p.g_min, p, variant, ts)
     hi_ceil = upper_bound_voltage(p.g_max, p, variant, ts)
-    floor = max(lo_floor, hi_floor) + margin
-    ceil = min(lo_ceil, hi_ceil) - margin
+    floor = max(lo_floor, hi_floor) + WINDOW_MARGIN_V
+    ceil = min(lo_ceil, hi_ceil) - WINDOW_MARGIN_V
     if floor >= ceil:
         raise DomainError("device parameters leave no achievable interval window")
     return VoltageInterval(floor, ceil)
@@ -269,16 +272,16 @@ class CalibrationResult:
         return max(self.residuals)
 
 
-def calibrate(anchors, v_slhi: float = 0.5, **param_overrides) -> CalibrationResult:
+def calibrate(anchors) -> CalibrationResult:
     """Fit {v_th, v_th_ml, v_th_inv, beta} to anchor (cell, interval) pairs.
 
     Least squares on the affine bound laws: each anchor contributes
     ``lo = K_lo * g_m1 + v_th`` and ``hi = K_hi * g_m2 + v_th`` rows, solved
     jointly for (K_lo, K_hi, v_th). The slopes are then unpacked with
     ``v_th_ml`` pinned at ``V_TH_ML_FRACTION * v_slhi`` (the affine model
-    cannot separate beta from the thresholds). Residuals are verified on the
-    full simulated bounds; any anchor off by more than ``MAX_RESIDUAL_V``
-    raises :class:`CalibrationError`.
+    cannot separate beta from the thresholds); other fields keep their
+    defaults. Residuals are verified on the full simulated bounds; any anchor
+    off by more than ``MAX_RESIDUAL_V`` raises :class:`CalibrationError`.
     """
     anchors = list(anchors)
     if len(anchors) < 2:
@@ -303,13 +306,13 @@ def calibrate(anchors, v_slhi: float = 0.5, **param_overrides) -> CalibrationRes
         raise CalibrationError(
             f"fit produced non-physical slopes (K_lo={k_lo:.1f}, K_hi={k_hi:.1f} V/S)")
 
+    v_slhi = DeviceParams.v_slhi
     v_th_ml = V_TH_ML_FRACTION * v_slhi
     beta = (v_slhi / v_th_ml - 1.0) / k_lo
     v_th_inv = v_slhi / (1.0 + k_hi * beta)
 
     params = DeviceParams(v_th=float(v_th), v_th_ml=v_th_ml,
-                          v_th_inv=float(v_th_inv), beta=float(beta),
-                          v_slhi=v_slhi, **param_overrides)
+                          v_th_inv=float(v_th_inv), beta=float(beta))
 
     residuals = []
     for cell, iv in anchors:

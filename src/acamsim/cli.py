@@ -47,10 +47,7 @@ _VARIANT_HELP = ("cell variant; must match the one a tree table records "
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as e:
-        raise ParseError(f"{path}: no such file") from e
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from e
 
@@ -134,7 +131,7 @@ def _config_section(args, config: dict, name: str, cls):
 
 
 def _device_params(args, config: dict) -> DeviceParams:
-    if getattr(args, "device_params", None):
+    if args.device_params:
         return _checked(args.device_params, "device parameters",
                         DeviceParams.from_json_dict,
                         _read_json(args.device_params))
@@ -177,7 +174,7 @@ def _table_array(table: CamTable, p, args, variant: str, family=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, config) -> int:
     doc = _read_json(args.anchors)
     if not isinstance(doc, list):
         raise ParseError(f"{args.anchors}: anchors must be a JSON list")
@@ -433,43 +430,49 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=".", help="output directory")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    device = argparse.ArgumentParser(add_help=False)
+    device.add_argument("--device-params", help="device parameter JSON file")
+    array = argparse.ArgumentParser(add_help=False, parents=[device])
+    array.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
+    array.add_argument("--program-noise", action="store_true")
+
     c = sub.add_parser("calibrate", help="fit device parameters to anchors")
+    c.set_defaults(run=cmd_calibrate)
     c.add_argument("anchors", help="JSON list of "
                    "{g_m1_uS, g_m2_uS, lo_V, hi_V} anchor points")
 
-    c = sub.add_parser("compile", help="compile rules (JSONL) or a tree (JSON)")
+    c = sub.add_parser("compile", parents=[device],
+                       help="compile rules (JSONL) or a tree (JSON)")
+    c.set_defaults(run=cmd_compile)
     c.add_argument("input")
     c.add_argument("--bits", type=int, help="bits per analog cell")
     c.add_argument("--ternary", action="store_true", help="compile to TCAM rows")
-    c.add_argument("--device-params", help="device parameter JSON file")
     c.add_argument("--variant", choices=["mosfet", "ts"], default="mosfet")
 
-    c = sub.add_parser("sweep", help="sweep one column's DL and dump CSV")
+    c = sub.add_parser("sweep", parents=[array],
+                       help="sweep one column's DL and dump CSV")
+    c.set_defaults(run=cmd_sweep)
     c.add_argument("table", nargs="?", help="compiled table JSON")
     c.add_argument("--cell", help="single stored cell G1_US,G2_US instead of a table")
     c.add_argument("--cols", type=int, default=1,
                    help="replicate --cell across this many columns")
     c.add_argument("--column", type=int, default=0, help="column index to sweep")
     c.add_argument("--step", type=float, default=1.0, help="sweep step in mV")
-    c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
-    c.add_argument("--program-noise", action="store_true")
 
-    c = sub.add_parser("search", help="search integer inputs against a table")
+    c = sub.add_parser("search", parents=[array],
+                       help="search integer inputs against a table")
+    c.set_defaults(run=cmd_search)
     c.add_argument("table", help="compiled digit-table JSON")
     c.add_argument("inputs", help="file with one integer per line")
-    c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
-    c.add_argument("--program-noise", action="store_true")
 
-    c = sub.add_parser("classify", help="classify feature vectors with a tree table")
+    c = sub.add_parser("classify", parents=[array],
+                       help="classify feature vectors with a tree table")
+    c.set_defaults(run=cmd_classify)
     c.add_argument("table", help="compiled tree-table JSON")
     c.add_argument("inputs", help="CSV of feature vectors, one per line")
-    c.add_argument("--device-params", help="device parameter JSON file")
-    c.add_argument("--variant", choices=["mosfet", "ts"], help=_VARIANT_HELP)
-    c.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("cost", help="energy/area report")
+    c.set_defaults(run=cmd_cost)
     c.add_argument("table", nargs="?", help="compiled table JSON")
     c.add_argument("--rows", type=int)
     c.add_argument("--cols", type=int)
@@ -489,20 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        if args.command == "calibrate":
-            return cmd_calibrate(args)
-        if args.command == "compile":
-            return cmd_compile(args, config)
-        if args.command == "sweep":
-            return cmd_sweep(args, config)
-        if args.command == "search":
-            return cmd_search(args, config)
-        if args.command == "classify":
-            return cmd_classify(args, config)
-        if args.command == "cost":
-            return cmd_cost(args, config)
-        raise DomainError(f"unknown command {args.command}")
+        return args.run(args, _load_config(args))
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

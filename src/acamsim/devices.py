@@ -27,7 +27,7 @@ Functions accept scalars or numpy arrays for the voltage argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,12 +76,17 @@ class DeviceParams:
     inv_gain: float = 25.0  # inverter small-signal gain (dimensionless)
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite")
         if not (0.0 < self.v_th_ml < self.v_slhi):
             raise DomainError(f"v_th_ml={self.v_th_ml} must lie in (0, v_slhi)")
         if not (0.0 < self.v_th_inv < self.v_slhi):
             raise DomainError(f"v_th_inv={self.v_th_inv} must lie in (0, v_slhi)")
         if self.g_off >= self.g_on:
             raise DomainError("g_off must be below g_on")
+        if self.g_off < 0:
+            raise DomainError("g_off must be non-negative")
         if self.g_min >= self.g_max:
             raise DomainError("g_min must be below g_max")
         if self.beta <= 0:
@@ -127,10 +132,9 @@ class DeviceParams:
 
 @dataclass(frozen=True)
 class MemristorState:
-    """A programmed non-volatile memristor: conductance plus residual write noise."""
+    """A programmed non-volatile memristor."""
 
-    g: float           # programmed conductance (S)
-    sigma_prog: float  # program-and-verify residual std-dev (S)
+    g: float  # programmed conductance (S)
 
 
 @dataclass(frozen=True)
@@ -144,14 +148,11 @@ class TsDeviceParams:
     """Volatile threshold-switching device for the 4T4M pull-up cell variant."""
 
     v_threshold: float = 0.4   # turn-on voltage (V)
-    v_hold: float = 0.1        # release voltage (V)
     swing_ts: float = 1.0      # transition slope (mV/decade)
     g_ts_on: float = 1e-3      # ON conductance (S)
     g_ts_off: float = 1e-9     # OFF leakage (S)
 
     def __post_init__(self):
-        if self.v_hold >= self.v_threshold:
-            raise DomainError("v_hold must be below v_threshold")
         if self.g_ts_off >= self.g_ts_on:
             raise DomainError("g_ts_off must be below g_ts_on")
         if self.swing_ts <= 0:
@@ -352,7 +353,7 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
         if best is None or abs(g - target) < abs(best - target):
             best = g
         if abs(g - target) <= tol:
-            return ProgramResult(MemristorState(g=g, sigma_prog=sigma), i)
+            return ProgramResult(MemristorState(g=g), i)
     raise ProgrammingError(
         f"no convergence to {target:.3e} S within {max_iters} pulses "
         f"(best {best:.3e} S)", best_g=best, iterations=max_iters)

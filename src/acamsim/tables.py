@@ -201,6 +201,11 @@ def range_to_ternary(r: RangeRule) -> list[TernaryWord]:
 # range -> base-2^k digits (symmetric peel)
 # ---------------------------------------------------------------------------
 
+def _digits(value: int, base: int, length: int) -> list[int]:
+    """``value`` as ``length`` base-``base`` digits, most-significant first."""
+    return [value // base ** k % base for k in range(length - 1, -1, -1)]
+
+
 def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
     """Digit-interval decomposition of [lo, hi] in base ``2**bits_per_cell``.
 
@@ -215,13 +220,6 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
         raise DomainError("bits_per_cell must lie in [1, width_bits]")
     base = 1 << bits_per_cell
     n_digits = -(-r.width_bits // bits_per_cell)
-
-    def to_digits(value: int, length: int) -> list[int]:
-        out = []
-        for _ in range(length):
-            out.append(value % base)
-            value //= base
-        return out[::-1]  # most-significant first
 
     def make_row(prefix: list[int], d_lo: int, d_hi: int, n_x: int) -> DigitWord:
         digits = ([DigitSpec.exact(d, base) for d in prefix]
@@ -239,15 +237,15 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
         hi_prefix, hi_digit = hi // base, hi % base
         remaining = n_digits - level - 1
         if lo_prefix == hi_prefix:
-            rows_low.append(make_row(to_digits(lo_prefix, remaining),
+            rows_low.append(make_row(_digits(lo_prefix, base, remaining),
                                      lo_digit, hi_digit, level))
             break
         if lo_digit != 0:
-            rows_low.append(make_row(to_digits(lo_prefix, remaining),
+            rows_low.append(make_row(_digits(lo_prefix, base, remaining),
                                      lo_digit, base - 1, level))
             lo_prefix += 1
         if hi_digit != base - 1:
-            rows_high.append(make_row(to_digits(hi_prefix, remaining),
+            rows_high.append(make_row(_digits(hi_prefix, base, remaining),
                                       0, hi_digit, level))
             hi_prefix -= 1
         if lo_prefix > hi_prefix:
@@ -388,12 +386,7 @@ def encode_integer(value: int, t: CamTable, family: LevelFamily) -> list[float]:
     if not (0 <= value < base ** n):
         raise DomainError(
             f"value {value} not representable in {n} base-{base} digits")
-    digits = []
-    v = value
-    for _ in range(n):
-        digits.append(v % base)
-        v //= base
-    return [family.digit_voltage(d) for d in digits[::-1]]
+    return [family.digit_voltage(d) for d in _digits(value, base, n)]
 
 
 # ---------------------------------------------------------------------------

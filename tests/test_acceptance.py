@@ -270,14 +270,41 @@ def _search_oracle_check(p, cases=10000, margin=0.030):
     return checked
 
 
+def _lattice_digits(rng: random.Random, n: int) -> list[int]:
+    """``[rng.randrange(16) for _ in range(n)]``, drawing the same stream.
+
+    ``randrange(16)`` keeps the top 5 bits of one 32-bit output and redraws
+    values of 16 or more. Each value costs at least one output, so one
+    ``getrandbits(32 * k)`` for the k values still missing never draws past
+    the last one; its outputs come least-significant word first.
+    """
+    out = []
+    while len(out) < n:
+        k = n - len(out)
+        words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"),
+                              dtype="<u4")
+        top = words >> 27
+        out += top[top < 16].tolist()
+    return out
+
+
+def test_lattice_digits_replay_randrange():
+    for seed in (0, 10):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for n in (1, 7, 2000):
+            assert _lattice_digits(fast, n) == [slow.randrange(16)
+                                                for _ in range(n)]
+            assert fast.getstate() == slow.getstate()
+
+
 def _tree_oracle_check(p, n_trees=1000, n_inputs=10000):
     rng = random.Random(10)
     for k in range(n_trees):
         n_feat = rng.randint(1, 4)
         tree = make_random_tree(rng, n_feat, max_depth=6)
         tt = tree_to_cam(tree, p)
-        xs = np.array([[(rng.randrange(16) + 0.5) / 16 for _ in range(n_feat)]
-                       for _ in range(n_inputs)])
+        digits = np.array(_lattice_digits(rng, n_inputs * n_feat))
+        xs = ((digits + 0.5) / 16).reshape(n_inputs, n_feat)
         got = classify_many(tt, xs, p)
         want = [tree.classify(x) for x in xs]
         assert got == want, f"tree {k} disagreed with traversal"

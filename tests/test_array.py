@@ -7,8 +7,8 @@ import pytest
 
 import acamsim.array
 from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_WORD_LENGTH_CAP,
-                           PRUNE_FACTOR, Parasitics, _column_bins, _matched,
-                           _v_ml_at_sense,
+                           PRUNE_FACTOR, V_PRECHARGE, Parasitics,
+                           _column_bins, _matched, _v_ml_at_sense,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
                            match_threshold_conductance, max_word_length,
@@ -119,14 +119,14 @@ class TestSearch:
         g_row = row_conductances(a, [[REFERENCE_INTERVAL.mid]], params)
         assert _matched(a, g_row)[0, 0]
         assert search_many(a, [[REFERENCE_INTERVAL.mid]], params)[0, 0]
-        assert _v_ml_at_sense(a, g_row)[0, 0] >= a.sense_frac * a.v_precharge
+        assert _v_ml_at_sense(a, g_row)[0, 0] >= a.sense_frac * V_PRECHARGE
 
 
 class TestTsVariant:
     def test_ml_charges_on_mismatch(self, params, ts_params):
         cell = reference_cell(params, "ts", ts_params)
         a = make_array([[cell]], variant="ts", ts_params=ts_params)
-        level = a.sense_frac * a.v_precharge
+        level = a.sense_frac * V_PRECHARGE
         stims = [[0.38], [0.60]]
         assert search_many(a, stims, params)[:, 0].tolist() == [True, False]
         v_hit, v_miss = _v_ml_at_sense(a, row_conductances(a, stims, params))[:, 0]
@@ -178,12 +178,13 @@ class TestEffectiveBounds:
         assert abs(b72.hi - b2.hi) <= 0.010
 
     def test_empty_interval_reported(self, params):
-        # a cell whose row bias mismatches elsewhere never matches anywhere
-        cell = reference_cell(params)
+        # a band narrower than the step falls between two grid points
+        cell = conductance_from_bounds(VoltageInterval(0.403, 0.407), params)
         a = make_array([[cell, cell]])
+        band = effective_bounds_in_array(a, 0, 0, params, step=0.001)
+        assert 0.403 <= band.lo < band.hi <= 0.407
         with pytest.raises(EmptyIntervalError):
-            effective_bounds_in_array(a, 0, 0, params, step=0.002,
-                                      bias=np.array([0.4, 0.9]))
+            effective_bounds_in_array(a, 0, 0, params, step=0.01)
 
 
 class TestMaxWordLength:
@@ -339,7 +340,7 @@ def test_sweep_column_emits_band(params):
     assert all(r == 0 for _, r, _, _ in samples)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.001])
+@pytest.mark.parametrize("step", [0.0, -0.001, float("nan"), float("inf")])
 def test_sweeps_reject_non_positive_step(params, step):
     a = make_array([[CellConfig(40e-6, 80e-6)]])
     with pytest.raises(DomainError):
@@ -554,13 +555,15 @@ class TestPrunedSearch:
         # 70 rows take the per-column lookup tables for the whole batch of
         # about 6k inputs (5 chunks) and the direct compares for 200
         # inputs, fewer than a column's 281 bins; 300 rows are past the
-        # table size and always take the direct compares
+        # size of one column's flags and always take the direct compares
         ts = ts_params if variant == "ts" else None
         rng = np.random.default_rng(43 + rows)
         cells = _random_cells(rng, params, variant, ts, 20, 3)
         cells = [cells[k] for k in rng.integers(len(cells), size=rows)]
         a = make_array(cells, variant=variant, ts_params=ts)
-        assert ((4 * rows + 1) * rows * 3 <= CHUNK_ELEMENTS) == (rows == 70)
+        bins, words = 4 * rows + 1, -(-rows // 64)
+        assert (bins * rows <= CHUNK_ELEMENTS
+                and 2 * bins * words * 3 <= CHUNK_ELEMENTS) == (rows == 70)
         stims = _differential_stimuli(rng, a, params, sweep_rows=20)
         want = _full_kernel(a, stims, params)
         assert np.array_equal(search_many(a, stims, params), want)
@@ -705,7 +708,7 @@ class TestMatchRule:
     def test_equals_sense_voltage_rule_on_kernel_outputs(self, params,
                                                          ts_params, variant):
         def by_voltage(a, g_row):  # the rule written on V_ML at t_sense
-            level = a.sense_frac * a.v_precharge
+            level = a.sense_frac * V_PRECHARGE
             v_ml = _v_ml_at_sense(a, g_row)
             return v_ml >= level if a.variant == "mosfet" else v_ml < level
 

@@ -201,7 +201,7 @@ class TestSweep:
         assert min(band) == pytest.approx(0.33, abs=0.005)
         assert max(band) == pytest.approx(0.43, abs=0.005)
 
-    @pytest.mark.parametrize("step", ["0", "-1"])
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
     def test_non_positive_step_is_domain_error(self, tmp_path, capsys, step):
         assert main(["--out", str(tmp_path / "s"), "sweep", "--cell", "40,80",
                      f"--step={step}"]) == 3
@@ -770,13 +770,17 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: bad ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value, code", [("abc", 2), ([0.3], 2),
-                                             (None, 2), (1e6, 3)])
+    @pytest.mark.parametrize("value, code", [
+        ("abc", 2), ([0.3], 2), (None, 2), (1e6, 3), (-0.3, 3),
+        pytest.param({"g_on_uS": float("nan")}, 3, id="g_on_nan-3"),
+        pytest.param({"swing_mV_per_dec": float("inf")}, 3, id="swing_inf-3"),
+    ])
     def test_device_section_shape_and_invariants(self, tmp_path, capsys,
                                                  value, code):
-        # g_off above g_on is a domain error, a non-number a parse error
+        # g_off above g_on or below 0, or any non-finite field (a dict sets
+        # that field), is a domain error, a non-number a parse error
         doc = replace(calibrated_defaults(), g_off=1e-9).to_json_dict()
-        doc["g_off_uS"] = value
+        doc.update(value if isinstance(value, dict) else {"g_off_uS": value})
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"device": doc}))
         capsys.readouterr()

@@ -337,6 +337,10 @@ class TestDeviceParams:
         dict(swing=0.0),
         dict(g_min=2e-4, g_max=1e-4),
         dict(g_on=1e-9, g_off=1e-6),
+        dict(g_off=-1e-10),
+        dict(g_on=math.nan),
+        dict(swing=math.inf),
+        dict(v_slhi=math.inf),
     ])
     def test_invariants_rejected(self, bad):
         base = dict(v_th=0.29, v_th_ml=0.3, v_th_inv=0.32, beta=3.3e-4)
@@ -346,5 +350,5 @@ class TestDeviceParams:
 
     def test_ts_invariants_rejected(self):
         with pytest.raises(DomainError):
-            TsDeviceParams(v_threshold=0.1, v_hold=0.2)
+            TsDeviceParams(g_ts_on=1e-9, g_ts_off=1e-6)
 
