@@ -54,6 +54,8 @@ CHUNK_ELEMENTS = 2 ** 18
 # A set of rows is packed into words of this type: row r is bit r % 64 of
 # word r // 64 (search_words).
 WORD = np.dtype("<u8")
+# Grid points a sweep over [0, 1] V may hold (10 uV steps; 1 nV would take TiB).
+MAX_SWEEP_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -485,6 +487,9 @@ def _column_sweep(a: ArraySpec, row: int, col: int, p: DeviceParams,
         raise DomainError("row/col outside array")
     if not (0 < step < math.inf):  # NaN fails it too
         raise DomainError("step must be positive")
+    if step < 1 / (MAX_SWEEP_POINTS - 1):
+        raise DomainError(f"step must be at least {1 / (MAX_SWEEP_POINTS - 1):g} "
+                          f"V: a sweep holds at most {MAX_SWEEP_POINTS} grid points")
     bias = [bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
                                     a.ts_params).mid
             for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())]
@@ -577,19 +582,14 @@ def analytic_range_shift(n_cols: int, p: DeviceParams) -> float:
 # sweep data products
 # ---------------------------------------------------------------------------
 
-def sweep_column(a: ArraySpec, col: int, p: DeviceParams,
-                 step: float = 0.002) -> list[tuple[float, int, float, bool]]:
-    """Sweep one column's DL and record (v_dl, row, v_ml, matched) samples.
+def sweep_column(a: ArraySpec, col: int, p: DeviceParams, step: float = 0.002
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep one column's DL: the grid over [0, 1] V at ``step`` (n,), and
+    ``v_ml`` at the sense instant and ``matched``, each (n, rows).
 
     Other columns sit at their stored-interval midpoints, the standard
     one-column-swept array characterization.
     """
     grid, stims = _column_sweep(a, 0, col, p, step)
     g_row = row_conductances(a, stims, p)
-    v_ml = _v_ml_at_sense(a, g_row)
-    matched = _matched(a, g_row)
-    out = []
-    for i, v in enumerate(grid):
-        for r in range(a.rows):
-            out.append((float(v), r, float(v_ml[i, r]), bool(matched[i, r])))
-    return out
+    return grid, _v_ml_at_sense(a, g_row), _matched(a, g_row)

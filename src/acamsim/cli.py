@@ -15,6 +15,7 @@ commands are deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -289,15 +290,19 @@ def cmd_sweep(args, config) -> int:
         a = _table_array(table, p, args, _table_variant(args, doc))
     if not (0 <= args.column < a.cols):
         raise DomainError(f"--column {args.column} outside [0, {a.cols})")
-    samples = sweep_column(a, args.column, p, step=step)
+    grid, v_ml, matched = sweep_column(a, args.column, p, step=step)
+    # one %-format per grid point, which formats its voltage once for all rows
+    template = "\n".join(f"%s,{r},%.6f,%d" for r in range(a.rows))
+    v_dl = np.array([f"{v:.6f}" for v in grid.tolist()], dtype=object)
+    fields = np.stack(np.broadcast_arrays(v_dl[:, None], v_ml, matched), axis=2)
     lines = ["v_dl,row,v_ml,matched"]
-    lines += [f"{v:.6f},{row},{v_ml:.6f},{int(m)}" for v, row, v_ml, m in samples]
+    lines += [template % tuple(f) for f in fields.reshape(len(grid), -1).tolist()]
     csv = "\n".join(lines) + "\n"
     _write(_out_path(args, "sweep.csv"), csv)
-    band = [v for v, row, _, m in samples if row == 0 and m]
-    if band:
-        print(f"row 0 match band: [{min(band):.4f}, {max(band):.4f}] V "
-              f"({len(band)} grid points)")
+    band = grid[matched[:, 0]]
+    if band.size:
+        print(f"row 0 match band: [{band[0]:.4f}, {band[-1]:.4f}] V "
+              f"({band.size} grid points)")
     else:
         print("warning: no matching point on the sweep grid "
               "(step may exceed the match band)", file=sys.stderr)
@@ -318,9 +323,13 @@ def cmd_search(args, config) -> int:
     stim = np.array([encode_integer(v, table, family) for v in values])
     matched = search_many(a, stim.reshape(len(values), a.cols), p)
     labels = table.labels()
+    texts = {}  # label text per distinct set of matched rows
     lines_out = ["value,matched_labels"]
-    lines_out += [f"{v},{';'.join(labels[r] for r in np.flatnonzero(row))}"
-                  for v, row in zip(values, matched)]
+    for v, row_set in zip(values, map(tuple, matched.tolist())):
+        if row_set not in texts:
+            texts[row_set] = ";".join(
+                label for label, hit in zip(labels, row_set) if hit)
+        lines_out.append(f"{v},{texts[row_set]}")
     csv = "\n".join(lines_out) + "\n"
     _write(_out_path(args, "search.csv"), csv)
     print(csv, end="")
@@ -419,7 +428,10 @@ def cmd_cost(args, config) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``acamsim`` parser, built once per process (``parse_args`` leaves
+    it unchanged); :func:`main` looks up ``cmd_<command>`` when it runs."""
     ap = argparse.ArgumentParser(
         prog="acamsim",
         description="Analog CAM behavioral simulator and table compiler")
@@ -437,13 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     array.add_argument("--program-noise", action="store_true")
 
     c = sub.add_parser("calibrate", help="fit device parameters to anchors")
-    c.set_defaults(run=cmd_calibrate)
     c.add_argument("anchors", help="JSON list of "
                    "{g_m1_uS, g_m2_uS, lo_V, hi_V} anchor points")
 
     c = sub.add_parser("compile", parents=[device],
                        help="compile rules (JSONL) or a tree (JSON)")
-    c.set_defaults(run=cmd_compile)
     c.add_argument("input")
     c.add_argument("--bits", type=int, help="bits per analog cell")
     c.add_argument("--ternary", action="store_true", help="compile to TCAM rows")
@@ -451,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("sweep", parents=[array],
                        help="sweep one column's DL and dump CSV")
-    c.set_defaults(run=cmd_sweep)
     c.add_argument("table", nargs="?", help="compiled table JSON")
     c.add_argument("--cell", help="single stored cell G1_US,G2_US instead of a table")
     c.add_argument("--cols", type=int, default=1,
@@ -461,18 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("search", parents=[array],
                        help="search integer inputs against a table")
-    c.set_defaults(run=cmd_search)
     c.add_argument("table", help="compiled digit-table JSON")
     c.add_argument("inputs", help="file with one integer per line")
 
     c = sub.add_parser("classify", parents=[array],
                        help="classify feature vectors with a tree table")
-    c.set_defaults(run=cmd_classify)
     c.add_argument("table", help="compiled tree-table JSON")
     c.add_argument("inputs", help="CSV of feature vectors, one per line")
 
     c = sub.add_parser("cost", help="energy/area report")
-    c.set_defaults(run=cmd_cost)
     c.add_argument("table", nargs="?", help="compiled table JSON")
     c.add_argument("--rows", type=int)
     c.add_argument("--cols", type=int)
@@ -492,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, _load_config(args))
+        return globals()[f"cmd_{args.command}"](args, _load_config(args))
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

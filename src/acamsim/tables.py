@@ -12,6 +12,7 @@ table onto programmable conductance pairs through a discrete level family.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -201,9 +202,10 @@ def range_to_ternary(r: RangeRule) -> list[TernaryWord]:
 # range -> base-2^k digits (symmetric peel)
 # ---------------------------------------------------------------------------
 
-def _digits(value: int, base: int, length: int) -> list[int]:
-    """``value`` as ``length`` base-``base`` digits, most-significant first."""
-    return [value // base ** k % base for k in range(length - 1, -1, -1)]
+def _digits(value: int, bits: int, length: int) -> list[int]:
+    """``value`` as ``length`` base-``2**bits`` digits, most-significant first."""
+    mask = (1 << bits) - 1
+    return [value >> bits * k & mask for k in range(length - 1, -1, -1)]
 
 
 def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
@@ -237,15 +239,15 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
         hi_prefix, hi_digit = hi // base, hi % base
         remaining = n_digits - level - 1
         if lo_prefix == hi_prefix:
-            rows_low.append(make_row(_digits(lo_prefix, base, remaining),
+            rows_low.append(make_row(_digits(lo_prefix, bits_per_cell, remaining),
                                      lo_digit, hi_digit, level))
             break
         if lo_digit != 0:
-            rows_low.append(make_row(_digits(lo_prefix, base, remaining),
+            rows_low.append(make_row(_digits(lo_prefix, bits_per_cell, remaining),
                                      lo_digit, base - 1, level))
             lo_prefix += 1
         if hi_digit != base - 1:
-            rows_high.append(make_row(_digits(hi_prefix, base, remaining),
+            rows_high.append(make_row(_digits(hi_prefix, bits_per_cell, remaining),
                                       0, hi_digit, level))
             hi_prefix -= 1
         if lo_prefix > hi_prefix:
@@ -290,6 +292,12 @@ class LevelFamily:
     levels: tuple[VoltageInterval, ...]
     window: VoltageInterval
 
+    @functools.cached_property
+    def voltages(self) -> tuple[float, ...]:
+        """Input voltage addressing each level, computed once."""
+        return tuple(v_of_level(i, self.n_levels, self.window)
+                     for i in range(self.n_levels))
+
     @property
     def n_levels(self) -> int:
         return len(self.levels)
@@ -301,9 +309,6 @@ class LevelFamily:
         if spec.is_wildcard:
             return self.window
         return VoltageInterval(self.levels[spec.lo].lo, self.levels[spec.hi].hi)
-
-    def digit_voltage(self, digit: int) -> float:
-        return v_of_level(digit, self.n_levels, self.window)
 
 
 def default_level_family(n_levels: int, p: DeviceParams,
@@ -379,14 +384,14 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
 
 def encode_integer(value: int, t: CamTable, family: LevelFamily) -> list[float]:
     """DL voltages addressing ``value`` on a digit or ternary table."""
-    if t.bits_per_cell is None:
+    bits = t.bits_per_cell
+    if bits is None:
         raise DomainError("integer encoding needs a digit table")
-    base = 1 << t.bits_per_cell
     n = t.n_cols
-    if not (0 <= value < base ** n):
+    if not (0 <= value < 1 << bits * n):
         raise DomainError(
-            f"value {value} not representable in {n} base-{base} digits")
-    return [family.digit_voltage(d) for d in _digits(value, base, n)]
+            f"value {value} not representable in {n} base-{1 << bits} digits")
+    return [family.voltages[d] for d in _digits(value, bits, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,7 @@ class TreeTable:
             return self.window.lo + frac * self.window.width
         n = self.family.n_levels
         idx = np.clip(np.floor(frac * n).astype(int), 0, n - 1)
-        centers = np.array([self.family.digit_voltage(i) for i in range(n)])
-        return centers[idx]
+        return np.array(self.family.voltages)[idx]
 
 
 def tree_to_cam(t: DecisionTree, p: DeviceParams,

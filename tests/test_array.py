@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import acamsim.array
-from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_WORD_LENGTH_CAP,
-                           PRUNE_FACTOR, V_PRECHARGE, Parasitics,
+from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_SWEEP_POINTS,
+                           MAX_WORD_LENGTH_CAP, PRUNE_FACTOR, V_PRECHARGE, Parasitics,
                            _column_bins, _matched, _v_ml_at_sense,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
@@ -332,12 +332,25 @@ def test_search_many_agrees_with_scalar_search(params):
 
 def test_sweep_column_emits_band(params):
     a = make_array([[CellConfig(40e-6, 80e-6)]])
-    samples = sweep_column(a, 0, params, step=0.001)
-    matched_vs = [v for v, row, _, m in samples if m]
+    grid, v_ml, matched = sweep_column(a, 0, params, step=0.001)
+    assert grid.shape == (1001,)
+    assert v_ml.shape == matched.shape == (1001, 1)
+    matched_vs = grid[matched[:, 0]]
     assert min(matched_vs) == pytest.approx(0.37, abs=0.01)
     assert max(matched_vs) == pytest.approx(0.42, abs=0.01)
-    # v_ml is monotone non-increasing in v_dl crossing the band edges
-    assert all(r == 0 for _, r, _, _ in samples)
+
+
+def test_sweep_grid_is_capped(params):
+    assert MAX_SWEEP_POINTS == 100_001
+    a = make_array([[CellConfig(40e-6, 80e-6)]])
+    grid, _, _ = sweep_column(a, 0, params, step=1e-5)
+    assert len(grid) == MAX_SWEEP_POINTS
+    # rejected before the grid exists: 1e-12 V would take 8 PB
+    for step in (0.999e-5, 1e-12):
+        with pytest.raises(DomainError, match="at least 1e-05 V"):
+            sweep_column(a, 0, params, step=step)
+        with pytest.raises(DomainError, match="at least 1e-05 V"):
+            effective_bounds_in_array(a, 0, 0, params, step=step)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.001, float("nan"), float("inf")])

@@ -207,6 +207,48 @@ class TestSweep:
                      f"--step={step}"]) == 3
         assert capsys.readouterr().err == "error: step must be positive\n"
 
+    @pytest.mark.parametrize("step", ["1e-9", "0.0099"])
+    def test_step_below_cap_is_domain_error(self, tmp_path, capsys, step):
+        # the cap is checked before the grid is allocated (1e-9 mV: 7 TiB)
+        assert main(["--out", str(tmp_path / "s"), "sweep", "--cell", "40,80",
+                     "--step", step]) == 3
+        assert capsys.readouterr().err == (
+            "error: step must be at least 1e-05 V: a sweep holds at most "
+            "100001 grid points\n")
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("source", ["cell", "table"])
+    def test_csv_equals_per_sample_format(self, tmp_path, rules_file, capsys,
+                                          source):
+        from acamsim.array import make_array, sweep_column
+        from acamsim.cell import CellConfig
+        from acamsim.tables import lower_to_conductances, table_from_json_dict
+
+        p = calibrated_defaults()
+        out = tmp_path / "sc"
+        if source == "cell":
+            a = make_array([[CellConfig(40 * 1e-6, 80 * 1e-6)] * 3])
+            args, step = ["--cell", "40,80", "--cols", "3", "--column", "1"], 1.25
+        else:
+            main(["--out", str(out), "compile", rules_file, "--bits", "4"])
+            doc = json.loads((out / "table.json").read_text())
+            a = make_array(lower_to_conductances(
+                table_from_json_dict(doc["table"]), p))
+            args, step = [str(out / "table.json"), "--column", "1"], 0.5
+        capsys.readouterr()
+        assert main(["--out", str(out), "sweep", *args, "--step", str(step)]) == 0
+        grid, v_ml, matched = sweep_column(a, 1, p, step=step * 1e-3)
+        want = ["v_dl,row,v_ml,matched"]
+        for i, v in enumerate(grid.tolist()):  # the per-sample text
+            for r in range(a.rows):
+                want.append(f"{v:.6f},{r},{v_ml[i, r]:.6f},{int(matched[i, r])}")
+        assert a.rows == (1 if source == "cell" else 6)
+        assert (out / "sweep.csv").read_text() == "\n".join(want) + "\n"
+        band = [v for v, m in zip(grid.tolist(), matched[:, 0]) if m]
+        assert capsys.readouterr().out.startswith(
+            f"row 0 match band: [{min(band):.4f}, {max(band):.4f}] V "
+            f"({len(band)} grid points)\n")
+
     def test_table_sweep(self, tmp_path, rules_file):
         out = str(tmp_path / "s3")
         main(["--out", out, "compile", rules_file, "--bits", "4"])
@@ -299,6 +341,33 @@ class TestSearch:
             hit = search_many(a, [encode_integer(v, table, family)], p)[0]
             want.append(f"{v},{';'.join(table.rows[i][1] for i in np.flatnonzero(hit))}")
         assert (tmp_path / "qb" / "search.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_empty_multi_row_and_out_of_range_inputs(self, tmp_path, capsys):
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text(RULE_LINE + '{"lo": 1000, "hi": 40000, '
+                         '"width_bits": 16, "label": "mid"}\n')
+        out = tmp_path / "qm"
+        main(["--out", str(out), "compile", str(rules), "--bits", "4"])
+        table = str(out / "table.json")
+        values = tmp_path / "values.txt"
+        got = {}
+        for name, text in (("empty", ""),
+                           ("multi", "385\n1000\n20000\n384\n+7\n 40000 \n")):
+            values.write_text(text)
+            assert main(["--out", str(out / name), "search", table,
+                         str(values)]) == 0
+            got[name] = (out / name / "search.csv").read_text()
+        assert got["empty"] == "value,matched_labels\n"
+        assert got["multi"].splitlines() == [
+            "value,matched_labels", "385,accept", "1000,accept;mid",
+            "20000,accept;mid", "384,", "7,", "40000,accept;mid"]
+        values.write_text("385\n70000\n-1\n")
+        capsys.readouterr()
+        assert main(["--out", str(out / "bad"), "search", table,
+                     str(values)]) == 3
+        assert capsys.readouterr().err == (
+            "error: value 70000 not representable in 4 base-16 digits\n")
+        assert not (out / "bad" / "search.csv").exists()
 
     def test_non_integer_line_is_parse_error(self, tmp_path, rules_file,
                                              capsys):
@@ -610,6 +679,54 @@ class TestClassify:
         assert main(["--out", out, "classify", os.path.join(out, "table.json"),
                      str(inputs)]) == 0
         assert (tmp_path / "k3" / "labels.csv").read_text() == "label\n"
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert acamsim.cli.build_parser() is acamsim.cli.build_parser()
+
+    def test_command_is_looked_up_at_call_time(self, monkeypatch):
+        acamsim.cli.build_parser()  # built before the command is replaced
+        calls = []
+
+        def fake(args, config):
+            calls.append((args.table, args.inputs))
+            return 7
+
+        monkeypatch.setattr(acamsim.cli, "cmd_search", fake)
+        assert main(["search", "t.json", "v.txt"]) == 7
+        assert calls == [("t.json", "v.txt")]
+
+    def test_consecutive_calls_do_not_leak_flags(self, tmp_path, rules_file,
+                                                 monkeypatch):
+        import subprocess
+        import sys
+
+        out = tmp_path / "lk"
+        main(["--out", str(out), "compile", rules_file, "--bits", "4"])
+        values = tmp_path / "values.txt"
+        values.write_text("385\n384\n30000\n58631\n")
+        argv = ["search", str(out / "table.json"), str(values)]
+        assert main(["--seed", "3", "--out", str(out / "ts"), *argv,
+                     "--variant", "ts", "--program-noise"]) == 0
+        seen = []
+        search = acamsim.cli.cmd_search
+
+        def spy(args, config):
+            seen.append((args.seed, args.variant, args.program_noise))
+            return search(args, config)
+
+        monkeypatch.setattr(acamsim.cli, "cmd_search", spy)
+        assert main(["--out", str(out / "plain"), *argv]) == 0
+        assert seen == [(0, None, False)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(acamsim.cli.__file__)))
+        subprocess.run([sys.executable, "-c", "import sys; from acamsim.cli "
+                        "import main; sys.exit(main())", "--out",
+                        str(out / "fresh"), *argv], env=env, check=True,
+                       capture_output=True)
+        assert ((out / "plain" / "search.csv").read_bytes()
+                == (out / "fresh" / "search.csv").read_bytes())
 
 
 class TestSeed:

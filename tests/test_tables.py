@@ -224,7 +224,7 @@ class TestLowering:
         a = make_array(lower_to_conductances(t, p, fam))
         vals = np.arange(1 << 16)
         digs = np.stack([(vals >> (4 * (3 - i))) & 15 for i in range(4)], axis=1)
-        volts = np.array([fam.digit_voltage(d) for d in range(16)])
+        volts = np.array(fam.voltages)
         matched = search_many(a, volts[digs], p)
         got = matched.any(axis=1)
         expect = (vals >= 385) & (vals <= 58630)
