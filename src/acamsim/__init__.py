@@ -13,8 +13,8 @@ from .devices import (DeviceParams, MemristorState, TsDeviceParams,
                       transistor_conductance)
 from .errors import AcamError
 from .tables import (CamTable, DigitSpec, DigitWord, RangeRule, TernaryWord,
-                     compile_rule, compile_rules, lower_to_conductances,
-                     range_to_digits, range_to_ternary)
+                     compile_rules, lower_to_conductances, range_to_digits,
+                     range_to_ternary)
 from .trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode, TreeTable,
                     classify_many, tree_to_cam)
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell import CellConfig, VoltageInterval, bounds_from_conductance
-from .devices import (DeviceParams, TsDeviceParams, _divider_midpoint,
-                      _divider_transistor, _inverter_input, inverter_output,
-                      pulldown_conductance, transistor_conductance,
-                      ts_conductance_off_curve)
+from .devices import (DeviceParams, TsDeviceParams, _bisect,
+                      _divider_midpoint, _divider_transistor, _inverter_input,
+                      inverter_output, pulldown_conductance,
+                      transistor_conductance, ts_conductance_off_curve)
 from .errors import (DomainError, EmptyIntervalError, NoDischargeError)
 
 MAX_WORD_LENGTH_CAP = 2 ** 31 - 1
@@ -86,7 +86,7 @@ class ArraySpec:
     t_sense: float = 100e-12
     sense_frac: float = 0.5
     variant: str = "mosfet"  # "mosfet" (pull-down) or "ts" (pull-up)
-    ts_params: TsDeviceParams | None = None
+    ts_params: TsDeviceParams | None = None  # ts: TsDeviceParams() if None
     c_sense: float = 1e-15  # fixed sense-node capacitance (F)
     # (p, per-column prune thresholds, packed per-column lookup tables or
     # None) of the last search_words call; they depend only on p and the
@@ -111,7 +111,7 @@ class ArraySpec:
         if self.variant not in ("mosfet", "ts"):
             raise DomainError(f"unknown variant {self.variant!r}")
         if self.variant == "ts" and self.ts_params is None:
-            raise DomainError("ts variant requires ts_params")
+            object.__setattr__(self, "ts_params", TsDeviceParams())
         if self.t_sense <= 0:
             raise DomainError("t_sense must be positive")
 
@@ -134,8 +134,6 @@ class ArraySpec:
 def make_array(cells, variant: str = "mosfet",
                ts_params: TsDeviceParams | None = None, **kwargs) -> ArraySpec:
     """Array storing a nested list of CellConfig (one list per row)."""
-    if variant == "ts" and ts_params is None:
-        ts_params = TsDeviceParams()
     return ArraySpec(g1=[[c.g_m1 for c in row] for row in cells],
                      g2=[[c.g_m2 for c in row] for row in cells],
                      variant=variant, ts_params=ts_params, **kwargs)
@@ -217,14 +215,7 @@ def _leg_gate_threshold(variant: str, tp: TsDeviceParams | None,
     """
     if _leg(p.v_slhi, variant, p, tp) < k:
         return p.v_slhi, None
-    lo, hi = 0.0, p.v_slhi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _leg(mid, variant, p, tp) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return _bisect(lambda v: _leg(v, variant, p, tp) < k, 0.0, p.v_slhi, 40)
 
 
 def _gate_bounds(g1: np.ndarray, g2: np.ndarray, v_g: float,
@@ -494,6 +485,7 @@ def _column_sweep(a: ArraySpec, row: int, col: int, p: DeviceParams,
                                     a.ts_params).mid
             for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())]
     grid = np.arange(0.0, 1.0 + step / 2, step)
+    grid = grid[grid <= 1.0]  # arange can overshoot 1 V by up to step / 2
     stims = np.tile(np.asarray(bias, dtype=float), (len(grid), 1))
     stims[:, col] = grid
     return grid, stims
@@ -515,24 +507,16 @@ def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
             f"cell ({row}, {col}) matches nowhere on the sweep grid")
     stim = stims[:1].copy()  # one word, re-used by every bisection step
 
-    def refine(v_match: float, v_miss: float) -> float:
-        for _ in range(40):
-            mid = 0.5 * (v_match + v_miss)
-            stim[0, col] = mid
-            if search_many(a, stim, p)[0, row]:
-                v_match = mid
-            else:
-                v_miss = mid
-            if abs(v_match - v_miss) < 1e-6:
-                break
-        return v_match
+    def matches(v: float) -> bool:
+        stim[0, col] = v
+        return search_many(a, stim, p)[0, row]
 
     lo = grid[idx[0]]
     if idx[0] > 0:
-        lo = refine(lo, grid[idx[0] - 1])
+        lo, _ = _bisect(matches, lo, grid[idx[0] - 1], 40, tol=1e-6)
     hi = grid[idx[-1]]
     if idx[-1] < len(grid) - 1:
-        hi = refine(hi, grid[idx[-1] + 1])
+        hi, _ = _bisect(matches, hi, grid[idx[-1] + 1], 40, tol=1e-6)
     return VoltageInterval(float(lo), float(hi))
 
 

@@ -77,14 +77,14 @@ def _crossing_voltages(p: DeviceParams, variant: str,
     For the transistor pull-down cell the lower bound is where the M1
     midpoint falls to ``v_th_ml`` and the upper bound where the M2 midpoint
     falls to ``v_th_inv``. For the TS pull-up variant both pull-up devices
-    snap at ``ts.v_threshold``; the M2 side is referred through the inverter.
+    snap at ``ts.v_threshold`` (default ``TsDeviceParams()``); the M2 side is
+    referred through the inverter.
     """
     if variant == "mosfet":
         return p.v_th_ml, p.v_th_inv
     if variant == "ts":
-        if ts is None:
-            raise DomainError("ts variant requires TsDeviceParams")
-        return ts.v_threshold, _inverter_input(ts.v_threshold, p)
+        v = (ts or TsDeviceParams()).v_threshold
+        return v, _inverter_input(v, p)
     raise DomainError(f"unknown cell variant {variant!r}")
 
 
@@ -233,12 +233,6 @@ def quantize_levels(n_levels: int, window: VoltageInterval,
     return [VoltageInterval(window.lo + i * pitch + guard / 2.0,
                             window.lo + (i + 1) * pitch - guard / 2.0)
             for i in range(n_levels)]
-
-
-def v_of_level(index: int, n_levels: int, window: VoltageInterval) -> float:
-    """Input voltage addressing level ``index`` (the level-cell midpoint)."""
-    pitch = window.width / n_levels
-    return window.lo + (index + 0.5) * pitch
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ import sys
 
 import numpy as np
 
-from .array import make_array, search_many, search_words, sweep_column
+from .array import ArraySpec, make_array, search_many, search_words, sweep_column
 from .cell import (CellConfig, VoltageInterval, calibrate,
                    calibrated_defaults)
 from .cost import (AreaParams, EnergyParams, compare_range_implementations,
                    energy_per_search, REFERENCE_TCAM_CELLS)
-from .devices import DeviceParams, TsDeviceParams, program_memristor
+from .devices import DeviceParams, program_memristor
 from .errors import (AcamError, CalibrationError, DomainError, ParseError,
                      ProgrammingError)
 from .tables import (CamTable, RangeRule, compile_rules, default_level_family,
@@ -94,7 +94,7 @@ def _checked(path: str, what: str, parse, doc):
     value of the wrong type) is a :class:`ParseError` naming ``path``."""
     try:
         return parse(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: bad {what} ({type(e).__name__}: {e})") from e
 
 
@@ -145,30 +145,25 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _maybe_program(cells, p, seed):
-    """Replace target conductances by program-and-verify results."""
-    out = []
-    for ri, row in enumerate(cells):
-        new_row = []
-        for ci, c in enumerate(row):
-            r1 = program_memristor(c.g_m1, (seed, ri, ci, 0), tol=1e-6,
-                                   max_iters=100, p=p)
-            r2 = program_memristor(c.g_m2, (seed, ri, ci, 1), tol=1e-6,
-                                   max_iters=100, p=p)
-            new_row.append(CellConfig(r1.state.g, r2.state.g))
-        out.append(new_row)
-    return out
+def _array(cells, p, args, variant: str) -> ArraySpec:
+    """Array storing ``cells`` (rows of CellConfig) for ``variant``; under
+    ``--program-noise`` each conductance is a program-and-verify write seeded
+    ``(seed, row, col, 0 | 1)``, row by row, ``g1`` before ``g2`` in a cell."""
+    a = make_array(cells, variant=variant)
+    if not args.program_noise:
+        return a
+    g = np.empty((2, a.rows, a.cols))
+    for (r, c), g1 in np.ndenumerate(a.g1):
+        for k, target in enumerate((g1, a.g2[r, c])):
+            g[k, r, c] = program_memristor(target, (args.seed, r, c, k),
+                                           tol=1e-6, max_iters=100, p=p).state.g
+    return ArraySpec(g1=g[0], g2=g[1], variant=variant)
 
 
 def _table_array(table: CamTable, p, args, variant: str, family=None):
-    """Array storing ``table`` lowered for ``variant`` (programmed with write
-    noise under ``--program-noise``)."""
-    ts = TsDeviceParams() if variant == "ts" else None
-    cells = lower_to_conductances(table, p, family=family, variant=variant,
-                                  ts=ts)
-    if args.program_noise:
-        cells = _maybe_program(cells, p, args.seed)
-    return make_array(cells, variant=variant, ts_params=ts)
+    """Array storing ``table`` lowered for ``variant`` (see :func:`_array`)."""
+    return _array(lower_to_conductances(table, p, family=family,
+                                        variant=variant), p, args, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def _load_table_or_tree(path: str):
         except json.JSONDecodeError:
             doc = None  # several objects -> rules, parsed per line below
         if isinstance(doc, dict) and "root" in doc:
-            return None, tree_from_json_dict(doc)
+            return None, _checked(path, "tree", tree_from_json_dict, doc)
     try:
         return parse_rules_jsonl(text), None
     except DomainError as e:
@@ -221,9 +216,7 @@ def cmd_compile(args, config) -> int:
     rules, tree = _load_table_or_tree(args.input)
     p = _device_params(args, config)
     if tree is not None:
-        ts = TsDeviceParams() if args.variant == "ts" else None
-        tt = tree_to_cam(tree, p, variant=args.variant, ts=ts,
-                         bits_per_cell=args.bits)
+        tt = tree_to_cam(tree, p, variant=args.variant, bits_per_cell=args.bits)
         doc = {
             "kind": "tree_table",
             "variant": tt.variant,
@@ -279,10 +272,8 @@ def cmd_sweep(args, config) -> int:
     if args.cell:
         g1, g2 = (g * 1e-6 for g in _flag_values("--cell", args.cell,
                                                  "G1_US,G2_US", float))
-        cells = [[CellConfig(g1, g2)] * args.cols]
-        if args.program_noise:
-            cells = _maybe_program(cells, p, args.seed)
-        a = make_array(cells, variant=args.variant or "mosfet")
+        a = _array([[CellConfig(g1, g2)] * args.cols], p, args,
+                   args.variant or "mosfet")
     else:
         if not args.table:
             raise DomainError("sweep needs a table file or --cell G1_US,G2_US")
@@ -412,7 +403,7 @@ def cmd_cost(args, config) -> int:
         if args.table:
             table, _ = _load_compiled(args.table)
             rows, cols = table.n_rows, table.n_cols
-        elif args.rows and args.cols:
+        elif args.rows is not None and args.cols is not None:
             rows, cols = args.rows, args.cols
         else:
             raise DomainError("cost needs --rule, a table file, or --rows/--cols")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .tables import RangeRule, compile_rule
+from .tables import RangeRule, compile_rules
 
 # Published TCAM baseline constants (fJ per search per ternary bit).
 SRAM_TCAM_FJ_PER_BIT = 0.165
@@ -307,10 +307,12 @@ def compare_range_implementations(r: RangeRule, bits_per_cell_options,
     """
     baseline = "published"
     if tcam_cells is None:
-        ternary = compile_rule(r, None)
+        ternary = compile_rules([r], None)
         tcam_rows = ternary.n_rows
         tcam_cells = ternary.n_cells
         baseline = "compiled"
+    elif tcam_cells < 1:
+        raise DomainError(f"tcam_cells must be at least 1, got {tcam_cells}")
     else:
         tcam_rows = tcam_cells // r.width_bits
 
@@ -319,7 +321,7 @@ def compare_range_implementations(r: RangeRule, bits_per_cell_options,
 
     options = []
     for bits in bits_per_cell_options:
-        t = compile_rule(r, bits)
+        t = compile_rules([r], bits)
         cells = t.n_cells
         transistors = cells * ap.transistors_per_acam_cell
         area = cells * ap.area_acam_cell

@@ -200,6 +200,21 @@ def transistor_conductance(v_dl, p: DeviceParams):
     return float(out) if np.isscalar(v_dl) else out
 
 
+def _bisect(below, lo, hi, steps: int, tol: float = 0.0):
+    """``(lo, hi)`` halved ``steps`` times, or until ``|hi - lo| < tol``:
+    ``below`` holds at ``lo`` and fails at ``hi`` (either may be the larger),
+    and each step moves the end on the midpoint's side to the midpoint."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) < tol:
+            break
+    return lo, hi
+
+
 def transistor_conductance_inverse(g_t: float, p: DeviceParams) -> float:
     """DL voltage at which the divider transistor reaches conductance ``g_t``.
 
@@ -214,13 +229,8 @@ def transistor_conductance_inverse(g_t: float, p: DeviceParams) -> float:
         return p.v_th + g_t / p.beta
     if g_t <= e0:
         return p.v_th + swing_v * math.log10(g_t / e0)
-    lo, hi = p.v_th, p.v_th + BLEND_V
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if transistor_conductance(mid, p) < g_t:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda v: transistor_conductance(v, p) < g_t,
+                     p.v_th, p.v_th + BLEND_V, 60)
     return 0.5 * (lo + hi)
 
 

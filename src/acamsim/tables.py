@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import (CellConfig, DeviceParams, VoltageInterval,
-                   _conductance_targets, achievable_window, quantize_levels,
-                   v_of_level)
+                   _conductance_targets, achievable_window, quantize_levels)
 from .devices import TsDeviceParams
 from .errors import DomainError
 
@@ -257,16 +256,9 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
     return rows_low + rows_high[::-1]
 
 
-def compile_rule(r: RangeRule, bits_per_cell: int | None = None) -> CamTable:
-    """Compile one rule to a CamTable (ternary when ``bits_per_cell`` is None)."""
-    words = (range_to_ternary(r) if bits_per_cell is None
-             else range_to_digits(r, bits_per_cell))
-    return CamTable(rows=tuple((word, r.label) for word in words),
-                    width_bits=r.width_bits, bits_per_cell=bits_per_cell)
-
-
 def compile_rules(rules, bits_per_cell: int | None = None) -> CamTable:
-    """Compile several rules into one table (rows concatenated in rule order)."""
+    """Compile rules into one table, rows concatenated in rule order
+    (ternary when ``bits_per_cell`` is None)."""
     rows = []
     width = None
     for r in rules:
@@ -274,7 +266,9 @@ def compile_rules(rules, bits_per_cell: int | None = None) -> CamTable:
             width = r.width_bits
         elif r.width_bits != width:
             raise DomainError("all rules in one table must share width_bits")
-        rows.extend(compile_rule(r, bits_per_cell).rows)
+        words = (range_to_ternary(r) if bits_per_cell is None
+                 else range_to_digits(r, bits_per_cell))
+        rows.extend((word, r.label) for word in words)
     return CamTable(rows=tuple(rows), width_bits=width, bits_per_cell=bits_per_cell)
 
 
@@ -294,8 +288,9 @@ class LevelFamily:
 
     @functools.cached_property
     def voltages(self) -> tuple[float, ...]:
-        """Input voltage addressing each level, computed once."""
-        return tuple(v_of_level(i, self.n_levels, self.window)
+        """Input voltage addressing each level (its midpoint), computed once."""
+        pitch = self.window.width / self.n_levels
+        return tuple(self.window.lo + (i + 0.5) * pitch
                      for i in range(self.n_levels))
 
     @property
@@ -471,4 +466,6 @@ def parse_rules_jsonl(text: str) -> list[RangeRule]:
                                    label=str(doc.get("label", f"rule{i}"))))
         except KeyError as e:
             raise DomainError(f"rules line {i}: missing field {e}") from e
+        except (OverflowError, TypeError, ValueError) as e:
+            raise DomainError(f"rules line {i}: {e}") from e
     return rules

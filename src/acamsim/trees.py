@@ -56,6 +56,8 @@ class FeatureSpec:
     hi: float
 
     def __post_init__(self):
+        if not np.isfinite((self.lo, self.hi)).all():
+            raise DomainError(f"feature {self.name!r} domain must be finite")
         if not (self.lo < self.hi):
             raise DomainError(f"feature {self.name!r} domain must have lo < hi")
 

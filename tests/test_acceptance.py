@@ -21,7 +21,7 @@ from acamsim.cost import (AreaParams, EnergyParams, REFERENCE_TCAM_CELLS,
                           REFERENCE_TCAM_ROWS, compare_range_implementations,
                           energy_per_search)
 from acamsim.devices import DeviceParams, TsDeviceParams
-from acamsim.tables import RangeRule, compile_rule, range_to_ternary
+from acamsim.tables import RangeRule, compile_rules, range_to_ternary
 from acamsim.trees import classify_many, tree_to_cam
 
 from test_cli import TREE_DOC
@@ -115,7 +115,7 @@ def test_criterion_3_digit_compilation():
         vals = np.arange(1 << 16)
         expect = (vals >= 385) & (vals <= 58630)
         for bits, cells in expected_cells.items():
-            t = compile_rule(REFERENCE_RULE, bits)
+            t = compile_rules([REFERENCE_RULE], bits)
             assert t.n_cells == cells, (bits, t.n_cells)
             base = 1 << bits
             digs = np.stack([(vals >> (bits * (t.n_cols - 1 - i))) & (base - 1)

@@ -309,10 +309,10 @@ class TestArraySpec:
             ArraySpec(g1=[[cell.g_m1], [cell.g_m1]], g2=[[cell.g_m2]])
         with pytest.raises(DomainError):
             make_array([[cell]], sense_frac=1.5)
-        # make_array supplies the default TS device; ArraySpec needs one
+        # the ts variant takes the default TS device when given none
         assert make_array([[cell]], variant="ts").ts_params == TsDeviceParams()
-        with pytest.raises(DomainError):
-            ArraySpec(g1=[[cell.g_m1]], g2=[[cell.g_m2]], variant="ts")
+        assert (ArraySpec(g1=[[cell.g_m1]], g2=[[cell.g_m2]], variant="ts")
+                .ts_params == TsDeviceParams())
 
 
 def test_search_many_agrees_with_scalar_search(params):
@@ -338,6 +338,16 @@ def test_sweep_column_emits_band(params):
     matched_vs = grid[matched[:, 0]]
     assert min(matched_vs) == pytest.approx(0.37, abs=0.01)
     assert max(matched_vs) == pytest.approx(0.42, abs=0.01)
+
+
+@pytest.mark.parametrize("step, n", [(0.001, 1001), (0.00037, 2703),
+                                     (0.6, 2)])
+def test_sweep_grid_ends_at_or_below_one_volt(params, step, n):
+    # a step that does not divide 1 V drops the point arange puts above it
+    a = make_array([[CellConfig(40e-6, 80e-6)]])
+    grid, _, _ = sweep_column(a, 0, params, step=step)
+    assert len(grid) == n and grid[-1] == pytest.approx((n - 1) * step)
+    assert grid[-1] <= 1.0
 
 
 def test_sweep_grid_is_capped(params):

@@ -9,11 +9,12 @@ from acamsim.cell import (CellConfig, REFERENCE_ANCHORS, VoltageInterval,
                           calibrate, calibrated_defaults,
                           conductance_from_bounds,
                           lower_bound_voltage, quantize_levels,
-                          upper_bound_voltage, v_of_level)
+                          upper_bound_voltage)
 from acamsim.devices import transistor_conductance
 from acamsim.errors import (CalibrationError, DomainError,
                             InconsistentCellError, OutOfWindowError,
                             PackingError)
+from acamsim.tables import LevelFamily
 
 
 def affine_slopes(p):
@@ -167,8 +168,9 @@ class TestQuantizeLevels:
     def test_level_voltage_lies_in_its_level(self):
         window = VoltageInterval(0.2, 0.6)
         levels = quantize_levels(8, window, guard=0.010)
+        voltages = LevelFamily(tuple(levels), window).voltages
         for i in range(8):
-            assert levels[i].contains(v_of_level(i, 8, window))
+            assert levels[i].contains(voltages[i])
 
     def test_invalid_requests(self):
         with pytest.raises(DomainError):

@@ -148,6 +148,44 @@ class TestCompile:
     def test_missing_bits_flag_is_domain_error(self, tmp_path, rules_file):
         assert main(["--out", str(tmp_path), "compile", rules_file]) == 3
 
+    @pytest.mark.parametrize("name, doc", [
+        ("threshold.json", {**TREE_DOC, "root": {**TREE_DOC["root"],
+                                                 "threshold": "abc"}}),
+        ("lo.json", {**TREE_DOC, "features": [{"name": "x", "lo": "zz",
+                                                "hi": 1.0}]}),
+        ("features.json", {**TREE_DOC, "features": 7}),
+        ("root.json", {**TREE_DOC, "root": [1, 2]}),
+        ("feature.json", {**TREE_DOC, "root": {**TREE_DOC["root"],
+                                               "feature": float("inf")}}),
+        ("hi.jsonl", {"lo": 1, "hi": "x", "width_bits": 8}),
+        ("list.jsonl", [1, 2]),
+        ("inf.jsonl", {"lo": float("inf"), "hi": 2, "width_bits": 8}),
+    ])
+    def test_wrongly_typed_input_is_parse_error(self, tmp_path, capsys, name,
+                                                doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc) + "\n")
+        assert main(["--out", str(tmp_path / "o"), "compile", str(path),
+                     "--bits", "4"]) == 2
+        err = capsys.readouterr().err
+        where = "rules line 1: " if name.endswith("l") else f"{path}: bad tree ("
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change, message", [
+        ({"features": [{"name": "x", "lo": float("-inf"), "hi": float("inf")}]},
+         "feature 'x' domain must be finite"),
+        ({"features": [{"name": "x", "lo": 1.0, "hi": 1.0}]},
+         "feature 'x' domain must have lo < hi"),
+        ({"root": {"feature": 0, "threshold": 0.5, "left": {"label": "A"}}},
+         "tree node missing field 'right'"),
+    ])
+    def test_invalid_tree_is_domain_error(self, tmp_path, capsys, change,
+                                          message):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({**TREE_DOC, **change}))
+        assert main(["--out", str(tmp_path / "o"), "compile", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSweep:
     def test_single_cell_band(self, tmp_path, capsys):
@@ -248,6 +286,15 @@ class TestSweep:
         assert capsys.readouterr().out.startswith(
             f"row 0 match band: [{min(band):.4f}, {max(band):.4f}] V "
             f"({len(band)} grid points)\n")
+
+    def test_step_not_dividing_one_volt(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["--out", str(out), "sweep", "--cell", "40,80",
+                     "--step", "0.37"]) == 0
+        csv = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in csv[-2:]] == [
+            0.99937, 0.99974]
+        assert len(csv) == 2703
 
     def test_table_sweep(self, tmp_path, rules_file):
         out = str(tmp_path / "s3")
@@ -665,7 +712,10 @@ class TestClassify:
         for invocation in (1, 2):
             assert main(argv + ["--program-noise"]) == 0
             assert len(calls) == invocation * 2 * rows * cols
-        assert {seed[0] for _, seed, *_ in calls} == {4}
+        # row by row, g1 before g2 in each cell
+        assert [seed for _, seed, *_ in calls] == 2 * [
+            (4, r, c, k) for r in range(rows) for c in range(cols)
+            for k in (0, 1)]
         labels = (tmp_path / "kn" / "labels.csv").read_text().splitlines()
         assert labels == ["label"] + ["A", "B", "C"] * 10
 
@@ -792,6 +842,18 @@ class TestCost:
         assert list(doc["published_baselines"]) == [
             "sram_tcam_fJ_per_bit", "memristor_tcam_fJ_per_bit",
             "sram_tcam_advantage", "memristor_tcam_advantage"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rule", "385,58630,16", "--tcam-baseline-cells", "0"],
+         "tcam_cells must be at least 1, got 0"),
+        (["--rule", "385,58630,16", "--tcam-baseline-cells", "-5"],
+         "tcam_cells must be at least 1, got -5"),
+        (["--rows", "0", "--cols", "4"], "rows and cols must be at least 1"),
+    ])
+    def test_bad_counts_are_domain_errors(self, tmp_path, capsys, argv,
+                                          message):
+        assert main(["--out", str(tmp_path / "o"), "cost", *argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_table_cost(self, tmp_path, rules_file):
         out = str(tmp_path / "c4")

@@ -80,6 +80,12 @@ class TestRangeComparison:
         assert rep.tcam_baseline == "compiled"
         assert rep.tcam_cells == rep.tcam_rows * 16
 
+    @pytest.mark.parametrize("tcam_cells", [0, -5])
+    def test_tcam_cells_below_one_rejected(self, tcam_cells):
+        with pytest.raises(DomainError, match="tcam_cells must be at least 1"):
+            compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
+                                          EnergyParams(), tcam_cells=tcam_cells)
+
     def test_ratio_identities(self):
         ap = AreaParams()
         rep = compare_range_implementations(REFERENCE_RULE, [4], ap,

@@ -11,7 +11,7 @@ from acamsim.cell import (VoltageInterval, bounds_from_conductance,
                           conductance_from_bounds)
 from acamsim.errors import DomainError, OutOfWindowError
 from acamsim.tables import (CamTable, DigitSpec, DigitWord, IntervalWord,
-                            LevelFamily, RangeRule, TernaryWord, compile_rule,
+                            LevelFamily, RangeRule, TernaryWord,
                             compile_rules, default_level_family,
                             encode_integer, format_grid,
                             lower_to_conductances, parse_rules_jsonl,
@@ -108,7 +108,7 @@ class TestRangeToDigits:
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8])
     def test_reference_rule_exhaustive_coverage(self, bits):
-        t = compile_rule(REFERENCE_RULE, bits)
+        t = compile_rules([REFERENCE_RULE], bits)
         vals = np.arange(1 << 16)
         hits = np.zeros(1 << 16, dtype=int)
         base = 1 << bits
@@ -208,7 +208,7 @@ class TestLowering:
         assert "digit" in str(exc.value)
 
     def test_reference_endpoints_searchable(self, params):
-        t = compile_rule(REFERENCE_RULE, 4)
+        t = compile_rules([REFERENCE_RULE], 4)
         fam = default_level_family(16, params)
         cells = lower_to_conductances(t, params, fam)
         a = make_array(cells)
@@ -219,7 +219,7 @@ class TestLowering:
     def test_lowered_table_classifies_all_inputs(self, params):
         # idealized zero-leakage device isolates the interval semantics
         p = replace(params, g_off=0.0)
-        t = compile_rule(REFERENCE_RULE, 4)
+        t = compile_rules([REFERENCE_RULE], 4)
         fam = default_level_family(16, p)
         a = make_array(lower_to_conductances(t, p, fam))
         vals = np.arange(1 << 16)
@@ -338,17 +338,17 @@ class TestVectorizedLowering:
 
 class TestSerialization:
     def test_digit_table_round_trip(self):
-        t = compile_rule(REFERENCE_RULE, 4)
+        t = compile_rules([REFERENCE_RULE], 4)
         back = table_from_json_dict(table_to_json_dict(t))
         assert back == t
 
     def test_ternary_table_round_trip(self):
-        t = compile_rule(REFERENCE_RULE, None)
+        t = compile_rules([REFERENCE_RULE], None)
         back = table_from_json_dict(table_to_json_dict(t))
         assert back == t
 
     def test_grid_text_shape(self):
-        t = compile_rule(REFERENCE_RULE, 4)
+        t = compile_rules([REFERENCE_RULE], 4)
         grid = format_grid(t)
         lines = grid.splitlines()
         assert len(lines) == 6
@@ -392,7 +392,7 @@ class TestSerialization:
 
 
 def test_encode_integer_range_checked(params):
-    t = compile_rule(REFERENCE_RULE, 4)
+    t = compile_rules([REFERENCE_RULE], 4)
     fam = default_level_family(16, params)
     assert len(encode_integer(65535, t, fam)) == 4
     with pytest.raises(DomainError):

@@ -339,3 +339,6 @@ def test_tree_json_round_trip():
 def test_feature_domain_validation():
     with pytest.raises(DomainError):
         FeatureSpec("bad", 1.0, 0.0)
+    for lo, hi in ((-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(DomainError, match="'bad' domain must be finite"):
+            FeatureSpec("bad", lo, hi)
