@@ -12,9 +12,8 @@ from .devices import (DeviceParams, MemristorState, TsDeviceParams,
                       program_memristor, pulldown_conductance,
                       transistor_conductance)
 from .errors import AcamError
-from .tables import (CamTable, DigitSpec, DigitWord, RangeRule, TernaryWord,
-                     compile_rules, lower_to_conductances, range_to_digits,
-                     range_to_ternary)
+from .tables import (CamTable, DigitSpec, DigitWord, RangeRule, compile_rules,
+                     lower_to_conductances, range_to_digits)
 from .trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode, TreeTable,
                     classify_many, tree_to_cam)
 

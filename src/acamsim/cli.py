@@ -229,15 +229,13 @@ def cmd_compile(args, config) -> int:
             doc["family"] = family_to_json_dict(tt.family)
         grid = format_grid(tt.table)
     else:
-        bits = None if args.ternary else args.bits
-        if not args.ternary and bits is None:
+        if args.bits is None:
             raise DomainError("compile needs --bits K or --ternary")
-        table = compile_rules(rules, bits)
+        table = compile_rules(rules, args.bits)
         doc = {"kind": "cam_table", "table": table_to_json_dict(table)}
         grid = format_grid(table)
         n = table.n_rows
-        print(f"{n} rows x {table.n_cols} cells "
-              f"({'ternary' if bits is None else f'{bits}-bit'})"
+        print(f"{n} rows x {table.n_cols} cells ({args.bits}-bit)"
               if n else "empty table")
     _write(_out_path(args, "table.json"), _dump_json(doc))
     _write(_out_path(args, "table.txt"), grid + ("\n" if grid else ""))
@@ -446,8 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", parents=[device],
                        help="compile rules (JSONL) or a tree (JSON)")
     c.add_argument("input")
-    c.add_argument("--bits", type=int, help="bits per analog cell")
-    c.add_argument("--ternary", action="store_true", help="compile to TCAM rows")
+    cell = c.add_mutually_exclusive_group()
+    cell.add_argument("--bits", type=int, help="bits per analog cell")
+    cell.add_argument("--ternary", dest="bits", action="store_const", const=1,
+                      help="compile to TCAM rows (same as --bits 1)")
     c.add_argument("--variant", choices=["mosfet", "ts"], default="mosfet")
 
     c = sub.add_parser("sweep", parents=[array],

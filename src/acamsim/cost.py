@@ -8,7 +8,8 @@ or normalize them. Every report states the scaling assumptions it used.
 The reference range rule comparison in the literature uses a 21x16 TCAM
 implementation (336 cells) of the same function; that cell count is carried
 here as a published constant of the baseline implementation, independent of
-what our own ternary expansion produces for the rule.
+the ternary table (the 1-bit digit table) that ``compile_rules`` produces for
+the rule.
 """
 
 from __future__ import annotations
@@ -297,9 +298,10 @@ def compare_range_implementations(r: RangeRule, bits_per_cell_options,
                                   tcam_cells: int | None = None) -> RangeComparisonReport:
     """Compile a rule at several cell widths and report costs vs. TCAM.
 
-    The TCAM baseline defaults to our own ternary expansion; pass the
-    published implementation's cell count ``tcam_cells`` to compare against
-    reported figures instead. Analog table energy uses the reference
+    The TCAM baseline defaults to the rule's own ternary table, its 1-bit
+    compilation; pass the published implementation's cell count
+    ``tcam_cells``, a positive multiple of the rule width, to compare
+    against reported figures instead. Analog table energy uses the reference
     per-cell figure times the cell count, the normalization under which
     per-equivalent-TCAM-bit energies are quoted. The published per-bit
     energies of SRAM and memristor TCAMs are data, attached with their ratio
@@ -307,12 +309,15 @@ def compare_range_implementations(r: RangeRule, bits_per_cell_options,
     """
     baseline = "published"
     if tcam_cells is None:
-        ternary = compile_rules([r], None)
+        ternary = compile_rules([r], 1)
         tcam_rows = ternary.n_rows
         tcam_cells = ternary.n_cells
         baseline = "compiled"
     elif tcam_cells < 1:
         raise DomainError(f"tcam_cells must be at least 1, got {tcam_cells}")
+    elif tcam_cells % r.width_bits:
+        raise DomainError(f"tcam_cells must be a multiple of the rule width "
+                          f"{r.width_bits}, got {tcam_cells}")
     else:
         tcam_rows = tcam_cells // r.width_bits
 

@@ -1,13 +1,13 @@
-"""Compile integer range rules into ternary and multi-bit CAM tables.
+"""Compile integer range rules into multi-bit CAM tables.
 
-A TCAM row stores one symbol {0, 1, X} per bit; an integer range is covered
-by the minimal set of disjoint prefixes (wildcards in the least-significant
-bits). A multi-bit analog CAM generalizes the alphabet to base-2^k digits
-where a cell can hold an exact value, a sub-range {n-m}, or a full wildcard;
-ranges are decomposed by peeling boundary digits from the least-significant
-side of both ends and emitting one wildcard-bodied row for the middle, which
-compresses rows and columns at once. ``lower_to_conductances`` maps a digit
-table onto programmable conductance pairs through a discrete level family.
+An analog CAM cell stores a base-2^k digit: an exact value, a sub-range
+{n-m}, or a full wildcard. Ranges are decomposed by peeling boundary digits
+from the least-significant side of both ends and emitting one wildcard-bodied
+row for the middle, which compresses rows and columns at once. A ternary
+(TCAM) table is the 1-bit case: each cell holds 0, 1 or X, and the rows are
+the minimal cover of the range by disjoint prefixes. ``lower_to_conductances``
+maps a digit table onto programmable conductance pairs through a discrete
+level family.
 """
 
 from __future__ import annotations
@@ -40,30 +40,6 @@ class RangeRule:
             raise DomainError(
                 f"range [{self.lo}, {self.hi}] not representable in "
                 f"{self.width_bits} bits")
-
-
-@dataclass(frozen=True)
-class TernaryWord:
-    """Fixed-width word over {0, 1, X}; X matches either bit value."""
-
-    symbols: str
-
-    def __post_init__(self):
-        if any(ch not in "01X" for ch in self.symbols):
-            raise DomainError(f"invalid ternary symbols in {self.symbols!r}")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def matches(self, value: int) -> bool:
-        width = len(self.symbols)
-        for i, ch in enumerate(self.symbols):
-            if ch == "X":
-                continue
-            bit = (value >> (width - 1 - i)) & 1
-            if bit != int(ch):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -139,12 +115,12 @@ class IntervalWord:
 class CamTable:
     """Compiled CAM content: rows of words plus their labels.
 
-    ``bits_per_cell`` is None for ternary and continuous-interval tables.
-    Labels live beside the rows, standing in for the companion RAM that the
-    matching row would address.
+    ``bits_per_cell`` is None for continuous-interval tables and 1 for
+    ternary ones. Labels live beside the rows, standing in for the companion
+    RAM that the matching row would address.
     """
 
-    rows: tuple  # of (TernaryWord | DigitWord | IntervalWord, label)
+    rows: tuple  # of (DigitWord | IntervalWord, label)
     width_bits: int | None = None
     bits_per_cell: int | None = None
 
@@ -167,34 +143,6 @@ class CamTable:
 
     def labels(self) -> tuple:
         return tuple(label for _, label in self.rows)
-
-
-# ---------------------------------------------------------------------------
-# range -> ternary (minimal prefix cover)
-# ---------------------------------------------------------------------------
-
-def range_to_ternary(r: RangeRule) -> list[TernaryWord]:
-    """Minimal set of disjoint ternary words whose union is exactly [lo, hi].
-
-    Recursive prefix cover: a subtree fully inside the range becomes one row
-    with its free bits wildcarded; partially covered subtrees are split.
-    Rows come out in ascending order of their covered sub-range.
-    """
-    words: list[TernaryWord] = []
-    w = r.width_bits
-
-    def cover(prefix_bits: str, node_lo: int, node_hi: int):
-        if node_hi < r.lo or node_lo > r.hi:
-            return
-        if r.lo <= node_lo and node_hi <= r.hi:
-            words.append(TernaryWord(prefix_bits + "X" * (w - len(prefix_bits))))
-            return
-        mid = (node_lo + node_hi) // 2
-        cover(prefix_bits + "0", node_lo, mid)
-        cover(prefix_bits + "1", mid + 1, node_hi)
-
-    cover("", 0, (1 << w) - 1)
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +204,9 @@ def range_to_digits(r: RangeRule, bits_per_cell: int) -> list[DigitWord]:
     return rows_low + rows_high[::-1]
 
 
-def compile_rules(rules, bits_per_cell: int | None = None) -> CamTable:
+def compile_rules(rules, bits_per_cell: int) -> CamTable:
     """Compile rules into one table, rows concatenated in rule order
-    (ternary when ``bits_per_cell`` is None)."""
+    (a ternary table when ``bits_per_cell`` is 1)."""
     rows = []
     width = None
     for r in rules:
@@ -266,9 +214,7 @@ def compile_rules(rules, bits_per_cell: int | None = None) -> CamTable:
             width = r.width_bits
         elif r.width_bits != width:
             raise DomainError("all rules in one table must share width_bits")
-        words = (range_to_ternary(r) if bits_per_cell is None
-                 else range_to_digits(r, bits_per_cell))
-        rows.extend((word, r.label) for word in words)
+        rows.extend((word, r.label) for word in range_to_digits(r, bits_per_cell))
     return CamTable(rows=tuple(rows), width_bits=width, bits_per_cell=bits_per_cell)
 
 
@@ -351,20 +297,14 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
     A cell whose interval needs a conductance outside the window raises,
     naming the first offending row and digit.
     """
-    if t.bits_per_cell is not None:
-        if family is None:
-            family = default_level_family(1 << t.bits_per_cell, p, variant, ts)
+    if family is None and t.bits_per_cell is not None:
+        family = default_level_family(1 << t.bits_per_cell, p, variant, ts)
     specs: list[VoltageInterval] = []
     for word, _ in t.rows:
         if isinstance(word, IntervalWord):
             specs.extend(word.intervals)
         elif isinstance(word, DigitWord):
             specs.extend(family.digit_interval(d) for d in word.digits)
-        elif isinstance(word, TernaryWord):
-            if family is None:
-                family = default_level_family(2, p, variant, ts)
-            specs.extend(family.window if ch == "X"
-                         else family.levels[int(ch)] for ch in word.symbols)
         else:
             raise DomainError(f"cannot lower row type {type(word).__name__}")
     n_cols = t.n_cols
@@ -378,7 +318,8 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
 
 
 def encode_integer(value: int, t: CamTable, family: LevelFamily) -> list[float]:
-    """DL voltages addressing ``value`` on a digit or ternary table."""
+    """DL voltages addressing ``value`` on a digit table (ternary tables are
+    the 1-bit case)."""
     bits = t.bits_per_cell
     if bits is None:
         raise DomainError("integer encoding needs a digit table")
@@ -397,9 +338,7 @@ def format_grid(t: CamTable) -> str:
     """Human-readable grid, one table row per line, labels on the right."""
     lines = []
     for word, label in t.rows:
-        if isinstance(word, TernaryWord):
-            cells = list(word.symbols)
-        elif isinstance(word, DigitWord):
+        if isinstance(word, DigitWord):
             cells = [d.symbol() for d in word.digits]
         else:
             cells = [f"[{iv.lo:.3f},{iv.hi:.3f}]" for iv in word.intervals]
@@ -410,8 +349,6 @@ def format_grid(t: CamTable) -> str:
 
 
 def _word_to_json(word) -> dict:
-    if isinstance(word, TernaryWord):
-        return {"kind": "ternary", "symbols": word.symbols}
     if isinstance(word, DigitWord):
         return {"kind": "digits",
                 "digits": [{"lo": d.lo, "hi": d.hi} for d in word.digits]}
@@ -428,13 +365,18 @@ def table_to_json_dict(t: CamTable) -> dict:
     }
 
 
+_TERNARY_DIGITS = {"0": DigitSpec.exact(0, 2), "1": DigitSpec.exact(1, 2),
+                   "X": DigitSpec.wildcard(2)}
+
+
 def table_from_json_dict(doc: dict) -> CamTable:
     bits = doc.get("bits_per_cell")
     rows = []
     for entry in doc["rows"]:
         wd = entry["word"]
-        if wd["kind"] == "ternary":
-            word = TernaryWord(wd["symbols"])
+        if wd["kind"] == "ternary":  # 1-bit rows as earlier versions wrote them
+            bits = 1
+            word = DigitWord(tuple(_TERNARY_DIGITS[ch] for ch in wd["symbols"]))
         elif wd["kind"] == "digits":
             base = 1 << bits
             word = DigitWord(tuple(DigitSpec(d["lo"], d["hi"], base)
@@ -450,8 +392,12 @@ def table_from_json_dict(doc: dict) -> CamTable:
 
 
 def parse_rules_jsonl(text: str) -> list[RangeRule]:
-    """Parse rules from JSON lines: {"lo":..., "hi":..., "width_bits":..., "label":...}."""
+    """Parse rules from JSON lines: {"lo":..., "hi":..., "width_bits":..., "label":...}.
+
+    ``lo``, ``hi`` and ``width_bits`` must be JSON integers.
+    """
     rules = []
+    fields = ("lo", "hi", "width_bits")
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -461,11 +407,15 @@ def parse_rules_jsonl(text: str) -> list[RangeRule]:
         except json.JSONDecodeError as e:
             raise DomainError(f"rules line {i}: {e}") from e
         try:
-            rules.append(RangeRule(lo=int(doc["lo"]), hi=int(doc["hi"]),
-                                   width_bits=int(doc["width_bits"]),
+            bounds = [doc[name] for name in fields]
+            for name, value in zip(fields, bounds):
+                if type(value) is not int:  # not bool, float or string
+                    raise DomainError(
+                        f'rules line {i}: "{name}" must be an integer')
+            rules.append(RangeRule(*bounds,
                                    label=str(doc.get("label", f"rule{i}"))))
         except KeyError as e:
             raise DomainError(f"rules line {i}: missing field {e}") from e
-        except (OverflowError, TypeError, ValueError) as e:
+        except (OverflowError, TypeError) as e:
             raise DomainError(f"rules line {i}: {e}") from e
     return rules

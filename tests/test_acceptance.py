@@ -21,7 +21,7 @@ from acamsim.cost import (AreaParams, EnergyParams, REFERENCE_TCAM_CELLS,
                           REFERENCE_TCAM_ROWS, compare_range_implementations,
                           energy_per_search)
 from acamsim.devices import DeviceParams, TsDeviceParams
-from acamsim.tables import RangeRule, compile_rules, range_to_ternary
+from acamsim.tables import RangeRule, compile_rules, range_to_digits
 from acamsim.trees import classify_many, tree_to_cam
 
 from test_cli import TREE_DOC
@@ -82,21 +82,23 @@ def test_criterion_1_calibration_fidelity(tmp_path):
 
 def test_criterion_2_ternary_compilation():
     with Criterion(2, "ternary compilation", 1.0):
-        words = range_to_ternary(REFERENCE_RULE)
+        # a ternary table is the 1-bit digit table
+        words = range_to_digits(REFERENCE_RULE, 1)
         vals = np.arange(1 << 16)
         hits = np.zeros(1 << 16, dtype=int)
         for w in words:
             mask = np.ones(1 << 16, dtype=bool)
-            for i, ch in enumerate(w.symbols):
-                if ch != "X":
-                    mask &= ((vals >> (15 - i)) & 1) == int(ch)
+            for i, d in enumerate(w.digits):
+                if not d.is_wildcard:
+                    mask &= ((vals >> (15 - i)) & 1) == d.lo
             hits += mask
         expect = (vals >= 385) & (vals <= 58630)
         assert np.array_equal(hits > 0, expect), "membership mismatch"
         assert hits.max() <= 1, "rows overlap"
         for w in words:
-            assert "X" not in w.symbols.rstrip("X"), f"{w.symbols} is not a prefix"
-        # range_to_ternary promises the minimal cover, checked against the
+            symbols = "".join(d.symbol() for d in w.digits)
+            assert "X" not in symbols.rstrip("X"), f"{symbols} is not a prefix"
+        # the 1-bit compilation is the minimal cover, checked against the
         # independent largest-aligned-block oracle. The published table has
         # one non-minimal split more (README "Published TCAM baseline"); it
         # stays the cost baseline of criterion 4.

@@ -10,7 +10,7 @@ from acamsim.cell import calibrated_defaults
 from acamsim.cli import main
 from acamsim.devices import TsDeviceParams
 from acamsim.errors import AmbiguousMatchError, DomainError
-from acamsim.tables import range_to_ternary, RangeRule
+from acamsim.tables import range_to_digits, RangeRule
 from acamsim.trees import classify_many, tree_from_json_dict, tree_to_cam
 
 ANCHORS = [
@@ -19,6 +19,17 @@ ANCHORS = [
 ]
 
 RULE_LINE = '{"lo": 385, "hi": 58630, "width_bits": 16, "label": "accept"}\n'
+
+# Two 4-bit rules and the table.json that ``compile --ternary`` wrote for
+# them before ternary tables became 1-bit digit tables.
+TERNARY_RULES = ('{"lo": 3, "hi": 12, "width_bits": 4, "label": "a"}\n'
+                 '{"lo": 9, "hi": 14, "width_bits": 4, "label": "b"}\n')
+OLD_TERNARY_TABLE = {"kind": "cam_table", "table": {
+    "width_bits": 4, "bits_per_cell": None, "rows": [
+        {"word": {"kind": "ternary", "symbols": symbols}, "label": label}
+        for symbols, label in [("0011", "a"), ("01XX", "a"), ("10XX", "a"),
+                               ("1100", "a"), ("1001", "b"), ("101X", "b"),
+                               ("110X", "b"), ("1110", "b")]]}}
 
 TREE_DOC = {
     "features": [{"name": "x", "lo": 0.0, "hi": 1.0},
@@ -134,8 +145,38 @@ class TestCompile:
         out = str(tmp_path / "t")
         assert main(["--out", out, "compile", rules_file, "--ternary"]) == 0
         doc = json.loads((tmp_path / "t" / "table.json").read_text())
-        expect = len(range_to_ternary(RangeRule(385, 58630, 16)))
+        expect = len(range_to_digits(RangeRule(385, 58630, 16), 1))
         assert len(doc["table"]["rows"]) == expect
+        assert doc["table"]["bits_per_cell"] == 1
+        assert capsys.readouterr().out.startswith(f"{expect} rows x 16 cells "
+                                                  "(1-bit)\n")
+
+    def test_bits_and_ternary_exclusive(self, tmp_path, rules_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "compile", rules_file, "--bits", "4",
+                  "--ternary"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --bits" in capsys.readouterr().err
+
+    def test_old_ternary_table_equals_one_bit_table(self, tmp_path):
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text(TERNARY_RULES)
+        new = tmp_path / "new"
+        assert main(["--out", str(new), "compile", str(rules), "--bits",
+                     "1"]) == 0
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "table.json").write_text(json.dumps(OLD_TERNARY_TABLE))
+        values = tmp_path / "values.txt"
+        values.write_text("".join(f"{v}\n" for v in range(16)))
+        for d in (old, new):
+            table = str(d / "table.json")
+            for argv in (["sweep", table, "--column", "2"],
+                         ["search", table, str(values), "--variant", "ts"],
+                         ["cost", table]):
+                assert main(["--out", str(d), *argv]) == 0
+        for name in ("sweep.csv", "search.csv", "cost.json", "cost.txt"):
+            assert (old / name).read_bytes() == (new / name).read_bytes()
 
     def test_empty_rules_compile_to_empty_table(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -147,6 +188,22 @@ class TestCompile:
 
     def test_missing_bits_flag_is_domain_error(self, tmp_path, rules_file):
         assert main(["--out", str(tmp_path), "compile", rules_file]) == 3
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"lo": 1.5, "hi": 2.9, "width_bits": 4}', "lo"),
+        ('{"lo": true, "hi": 3, "width_bits": 4}', "lo"),
+        ('{"lo": "2", "hi": 3, "width_bits": 4.7}', "lo"),
+        ('{"lo": 2, "hi": 3, "width_bits": 4.7}', "width_bits"),
+    ])
+    def test_non_integer_rule_bound_is_parse_error(self, tmp_path, capsys,
+                                                   line, field):
+        path = tmp_path / "rules.jsonl"
+        path.write_text(line + "\n")
+        assert main(["--out", str(tmp_path / "o"), "compile", str(path),
+                     "--bits", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f'error: rules line 1: "{field}" must be an integer\n')
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, doc", [
         ("threshold.json", {**TREE_DOC, "root": {**TREE_DOC["root"],
@@ -363,6 +420,27 @@ class TestSearch:
                      str(values), "--variant", "mosfet"]) == 3
         assert capsys.readouterr().err == (
             "error: table was compiled for --variant ts, not --variant mosfet\n")
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_ternary_table_agrees_with_containment(self, tmp_path, variant):
+        import random
+
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text(RULE_LINE + '{"lo": 1000, "hi": 40000, '
+                         '"width_bits": 16, "label": "mid"}\n')
+        out = tmp_path / "qt"
+        assert main(["--out", str(out), "compile", str(rules),
+                     "--ternary"]) == 0
+        values = [0, 384, 385, 999, 1000, 40000, 40001, 58630, 58631, 65535]
+        values += random.Random(7).sample(range(1 << 16), 300)
+        (tmp_path / "values.txt").write_text("".join(f"{v}\n" for v in values))
+        assert main(["--out", str(out), "search", str(out / "table.json"),
+                     str(tmp_path / "values.txt"), "--variant", variant]) == 0
+        spans = [(385, 58630, "accept"), (1000, 40000, "mid")]
+        want = ["value,matched_labels"] + [
+            f"{v}," + ";".join(lb for lo, hi, lb in spans if lo <= v <= hi)
+            for v in values]
+        assert (out / "search.csv").read_text().splitlines() == want
 
     def test_batch_output_equals_scalar_search(self, tmp_path, rules_file):
         import numpy as np
@@ -849,6 +927,10 @@ class TestCost:
         (["--rule", "385,58630,16", "--tcam-baseline-cells", "-5"],
          "tcam_cells must be at least 1, got -5"),
         (["--rows", "0", "--cols", "4"], "rows and cols must be at least 1"),
+        (["--rule", "385,58630,16", "--tcam-baseline-cells", "5"],
+         "tcam_cells must be a multiple of the rule width 16, got 5"),
+        (["--rule", "385,58630,16", "--tcam-baseline-cells", "40"],
+         "tcam_cells must be a multiple of the rule width 16, got 40"),
     ])
     def test_bad_counts_are_domain_errors(self, tmp_path, capsys, argv,
                                           message):
@@ -1010,6 +1092,15 @@ class TestMalformedCompiledDocument:
         self._assert_parse_error(
             capsys, argv + ([str(inputs)] if command == "classify" else []),
             table)
+
+    def test_old_ternary_row_with_bad_symbol(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"kind": "cam_table", "table": {
+            "width_bits": 3, "bits_per_cell": None, "rows": [
+                {"word": {"kind": "ternary", "symbols": "01F"},
+                 "label": "a"}]}}))
+        self._assert_parse_error(capsys, ["--out", str(tmp_path / "o"),
+                                          "sweep", str(table)], table)
 
     def test_digit_without_hi(self, tmp_path, capsys, rules_file):
         out = str(tmp_path / "r")

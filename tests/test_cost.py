@@ -86,6 +86,16 @@ class TestRangeComparison:
             compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
                                           EnergyParams(), tcam_cells=tcam_cells)
 
+    def test_tcam_cells_must_be_whole_rows(self):
+        for cells in (5, 40):
+            with pytest.raises(DomainError,
+                               match="multiple of the rule width 16, got"):
+                compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
+                                              EnergyParams(), tcam_cells=cells)
+        rep = compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
+                                            EnergyParams(), tcam_cells=336)
+        assert (rep.tcam_rows, rep.tcam_cells) == (21, 336)
+
     def test_ratio_identities(self):
         ap = AreaParams()
         rep = compare_range_implementations(REFERENCE_RULE, [4], ap,
@@ -112,12 +122,13 @@ class TestBaselineComparison:
     def test_equal_per_bit_gives_unity_and_no_option_gives_na(self):
         # every fJ of the reference array in one component: the per-cell
         # figure is the SRAM TCAM per-bit energy, and so is the per-bit
-        # figure of a table compared with its own cell count
+        # figure of a table compared with its own cell count (the 1-bit
+        # table, whose cell count is whole TCAM rows)
         ep = EnergyParams(e_ml_precharge=SRAM_TCAM_FJ_PER_BIT * 86 * 12,
                           e_slhi_driver=0.0, e_other=0.0, e_dac=0.0)
         cells = compare_range_implementations(
-            REFERENCE_RULE, [4], AreaParams(), ep).option(4).cells
-        rep = compare_range_implementations(REFERENCE_RULE, [4], AreaParams(),
+            REFERENCE_RULE, [1], AreaParams(), ep).option(1).cells
+        rep = compare_range_implementations(REFERENCE_RULE, [1], AreaParams(),
                                             ep, tcam_cells=cells)
         assert rep.baselines["sram_tcam_advantage"] == pytest.approx(1.0)
         assert rep.baselines["memristor_tcam_advantage"] == pytest.approx(

@@ -11,12 +11,11 @@ from acamsim.cell import (VoltageInterval, bounds_from_conductance,
                           conductance_from_bounds)
 from acamsim.errors import DomainError, OutOfWindowError
 from acamsim.tables import (CamTable, DigitSpec, DigitWord, IntervalWord,
-                            LevelFamily, RangeRule, TernaryWord,
-                            compile_rules, default_level_family,
-                            encode_integer, format_grid,
+                            LevelFamily, RangeRule, compile_rules,
+                            default_level_family, encode_integer, format_grid,
                             lower_to_conductances, parse_rules_jsonl,
-                            range_to_digits, range_to_ternary,
-                            table_from_json_dict, table_to_json_dict)
+                            range_to_digits, table_from_json_dict,
+                            table_to_json_dict)
 from acamsim.trees import tree_to_cam
 
 from test_trees import make_random_tree
@@ -37,13 +36,9 @@ def greedy_prefix_count(lo: int, hi: int, width: int) -> int:
     return count
 
 
-def covered_set(words, width):
-    out = set()
-    for w in words:
-        for v in range(1 << width):
-            if w.matches(v):
-                out.add(v)
-    return out
+def symbols(word: DigitWord) -> str:
+    """A 1-bit (ternary) word as its {0, 1, X} string."""
+    return "".join(d.symbol() for d in word.digits)
 
 
 @st.composite
@@ -55,19 +50,22 @@ def small_rules(draw, max_width=10):
 
 
 class TestRangeToTernary:
+    """A ternary table is the 1-bit digit table: a minimal prefix cover."""
+
     def test_aligned_block_is_one_word(self):
-        words = range_to_ternary(RangeRule(4, 7, 4))
-        assert [w.symbols for w in words] == ["01XX"]
+        words = range_to_digits(RangeRule(4, 7, 4), 1)
+        assert [symbols(w) for w in words] == ["01XX"]
 
     def test_full_range_is_all_wildcards(self):
-        words = range_to_ternary(RangeRule(0, 255, 8))
-        assert [w.symbols for w in words] == ["X" * 8]
+        words = range_to_digits(RangeRule(0, 255, 8), 1)
+        assert [symbols(w) for w in words] == ["X" * 8]
 
     def test_reference_rule_against_exhaustive_oracle(self):
-        words = range_to_ternary(REFERENCE_RULE)
+        words = range_to_digits(REFERENCE_RULE, 1)
         hits = np.zeros(1 << 16, dtype=int)
         for w in words:
-            fixed = [(15 - i, int(c)) for i, c in enumerate(w.symbols) if c != "X"]
+            fixed = [(15 - i, int(c)) for i, c in enumerate(symbols(w))
+                     if c != "X"]
             mask = np.ones(1 << 16, dtype=bool)
             vals = np.arange(1 << 16)
             for bit, want in fixed:
@@ -82,10 +80,10 @@ class TestRangeToTernary:
     @settings(max_examples=80, deadline=None)
     @given(small_rules())
     def test_exact_disjoint_minimal_cover(self, rule):
-        words = range_to_ternary(rule)
+        words = range_to_digits(rule, 1)
         seen = set()
         for w in words:
-            block = {v for v in range(1 << rule.width_bits) if w.matches(v)}
+            block = {v for v in range(1 << rule.width_bits) if w.matches(v, 1)}
             assert not (block & seen)
             seen |= block
         assert seen == set(range(rule.lo, rule.hi + 1))
@@ -93,8 +91,8 @@ class TestRangeToTernary:
                                                  rule.width_bits)
 
     def test_ascending_order(self):
-        words = range_to_ternary(REFERENCE_RULE)
-        starts = [int(w.symbols.replace("X", "0"), 2) for w in words]
+        words = range_to_digits(REFERENCE_RULE, 1)
+        starts = [int(symbols(w).replace("X", "0"), 2) for w in words]
         assert starts == sorted(starts)
 
 
@@ -234,17 +232,14 @@ class TestLowering:
 
 def per_cell_lowering(t, p, family, variant="mosfet", ts=None):
     """Reference lowering: one ``conductance_from_bounds`` call per cell."""
-    if family is None:
-        family = default_level_family(1 << (t.bits_per_cell or 1), p, variant, ts)
+    if family is None and t.bits_per_cell is not None:
+        family = default_level_family(1 << t.bits_per_cell, p, variant, ts)
     matrix = []
     for ri, (word, _) in enumerate(t.rows):
         if isinstance(word, IntervalWord):
             specs = word.intervals
-        elif isinstance(word, DigitWord):
-            specs = [family.digit_interval(d) for d in word.digits]
         else:
-            specs = [family.window if ch == "X" else family.levels[int(ch)]
-                     for ch in word.symbols]
+            specs = [family.digit_interval(d) for d in word.digits]
         row = []
         for ci, iv in enumerate(specs):
             try:
@@ -273,7 +268,7 @@ class TestVectorizedLowering:
         for trial in range(40):
             rules = [RangeRule(*sorted(rng.randrange(1 << 12) for _ in range(2)), 12)
                      for _ in range(rng.randint(1, 6))]
-            bits = (None, 1, 2, 3, 4)[trial % 5]
+            bits = (1, 2, 3, 4)[trial % 4]
             t = compile_rules(rules, bits)
             got = lower_to_conductances(t, params, variant=variant, ts=ts)
             assert got == per_cell_lowering(t, params, None, variant, ts)
@@ -343,9 +338,18 @@ class TestSerialization:
         assert back == t
 
     def test_ternary_table_round_trip(self):
-        t = compile_rules([REFERENCE_RULE], None)
-        back = table_from_json_dict(table_to_json_dict(t))
+        t = compile_rules([REFERENCE_RULE], 1)
+        doc = table_to_json_dict(t)
+        assert doc["bits_per_cell"] == 1
+        assert {row["word"]["kind"] for row in doc["rows"]} == {"digits"}
+        back = table_from_json_dict(doc)
         assert back == t
+        # rows written by earlier versions as {0, 1, X} strings load as the
+        # same 1-bit table
+        old = {"width_bits": 16, "bits_per_cell": None, "rows": [
+            {"word": {"kind": "ternary", "symbols": symbols(w)}, "label": lb}
+            for w, lb in t.rows]}
+        assert table_from_json_dict(old) == t
 
     def test_grid_text_shape(self):
         t = compile_rules([REFERENCE_RULE], 4)
@@ -406,5 +410,3 @@ def test_rule_validation():
         RangeRule(5, 4, 4)
     with pytest.raises(DomainError):
         RangeRule(0, 16, 4)
-    with pytest.raises(DomainError):
-        TernaryWord("01F")
