@@ -35,8 +35,8 @@ from .tables import (CamTable, RangeRule, compile_rules, default_level_family,
                      family_to_json_dict, format_grid, lower_to_conductances,
                      parse_rules_jsonl, table_from_json_dict,
                      table_to_json_dict)
-from .trees import (FeatureSpec, TreeTable, _decode, tree_from_json_dict,
-                    tree_to_cam)
+from .trees import (TreeTable, _decode, features_from_json,
+                    tree_from_json_dict, tree_to_cam)
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -361,8 +361,7 @@ def cmd_classify(args, config) -> int:
                        doc["family"]) if "family" in doc else None)
     features, window = _checked(
         args.table, '"features" or "window" in tree table', lambda d: (
-            tuple(FeatureSpec(f["name"], float(f["lo"]), float(f["hi"]))
-                  for f in d["features"]),
+            features_from_json(d["features"]),
             VoltageInterval(float(d["window"]["lo_V"]),
                             float(d["window"]["hi_V"]))), doc)
     rows = _read_input_lines(args.inputs, _parse_features)

@@ -9,14 +9,17 @@ feature vector because sibling splits are mutually exclusive.
 
 Feature values are carried to data-line voltages by per-feature affine maps
 into the device's achievable interval window. Left branches take values
-strictly below the threshold, right branches at or above it. To make that
-deterministic on analog hardware the right row's stored lower edge sits a
-few millivolts below the encoded threshold (absorbing the in-array boundary
-offset, so an input exactly at the threshold resolves to the right side)
-and the left row stops a further gap below that, keeping rows disjoint.
-Inputs closer to a threshold than these margins may resolve to the right
-side; classification contracts hold for inputs at least half a quantization
-step away from every threshold.
+strictly below the threshold, right branches at or above it. Paths keep
+their thresholds in the feature domain, and each table mode guards them its
+own way. A continuous right row's stored lower edge sits
+``THRESHOLD_UNDERLAP_V`` below the encoded threshold (absorbing the
+in-array boundary offset, so an input exactly at the threshold resolves to
+the right side) and the left row stops ``BOUNDARY_GAP_V`` below that,
+keeping rows disjoint; inputs closer to a threshold than these margins may
+resolve to the right side. A quantized threshold snaps to the nearest level
+boundary in the feature domain, with no volt margin: the level family's
+guard bands keep the rows apart. Classification contracts hold for inputs
+at least half a quantization step away from every threshold.
 """
 
 from __future__ import annotations
@@ -168,79 +171,72 @@ def tree_to_cam(t: DecisionTree, p: DeviceParams,
                 bits_per_cell: int | None = None) -> TreeTable:
     """Compile a tree to one CAM row per root-to-leaf path.
 
-    Continuous by default; with ``bits_per_cell`` set, thresholds snap to
-    the nearest boundary of a ``2**bits_per_cell``-level family and rows
-    store level sub-ranges. Raises :class:`MalformedTreeError` when a path
-    carries contradictory constraints (empty feature interval) or when
-    quantization collapses a path's interval to nothing.
+    The walk reduces each path, per feature, to the thresholds of its
+    tightest right and left turns, in the feature domain. By default a row
+    stores one voltage interval per feature, guarded by
+    ``THRESHOLD_UNDERLAP_V`` and ``BOUNDARY_GAP_V``. With ``bits_per_cell``
+    set, each threshold snaps to the nearest boundary k of a
+    ``2**bits_per_cell``-level family, with no volt margin: the row stores
+    levels up to k - 1 left of it and from k right of it. Raises
+    :class:`MalformedTreeError` when a path's constraints contradict each
+    other or leave no room for the margins ("empty interval"), or when
+    snapping collapses them ("quantization collision").
     """
-    window = achievable_window(p, variant, ts)
-    n = len(t.features)
+    if bits_per_cell is None:
+        family, window = None, achievable_window(p, variant, ts)
+    else:
+        family = default_level_family(1 << bits_per_cell, p, variant, ts)
+        window = family.window
 
-    def to_v(fi: int, value: float) -> float:
-        f = t.features[fi]
-        frac = (value - f.lo) / (f.hi - f.lo)
-        return window.lo + frac * window.width
+    # no right turn is right = lo, as every value clears it; no left turn is
+    # left = None, as x <= hi holds where x < hi does not
+    def volts(f: FeatureSpec, right, left) -> VoltageInterval | None:
+        def v(theta):
+            return window.lo + (theta - f.lo) / (f.hi - f.lo) * window.width
+        lo = max(window.lo, v(right) - THRESHOLD_UNDERLAP_V)
+        hi = (window.hi if left is None
+              else v(left) - THRESHOLD_UNDERLAP_V - BOUNDARY_GAP_V)
+        return VoltageInterval(lo, hi) if lo <= hi else None
 
+    def levels(f: FeatureSpec, right, left) -> DigitSpec | None:
+        n = family.n_levels
+        def k(theta):
+            return round((theta - f.lo) / (f.hi - f.lo) * n)
+        lo, hi = k(right), n - 1 if left is None else k(left) - 1
+        return DigitSpec(lo, hi, n) if lo <= hi else None
+
+    encode, word = ((volts, IntervalWord) if family is None
+                    else (levels, DigitWord))
     rows = []
 
-    def walk(node, constraints):
+    def walk(node, turns):
         if isinstance(node, TreeLeaf):
-            intervals = []
-            for fi in range(n):
-                lo, hi = constraints[fi]
-                if lo > hi:
+            cells = []
+            for fi, f in enumerate(t.features):
+                right, left = turns.get(fi, (f.lo, None))
+                cells.append(encode(f, right, left))
+                if cells[-1] is None:
                     raise MalformedTreeError(
                         f"path to leaf {node.label!r} has empty interval for "
-                        f"feature {t.features[fi].name!r}")
-                intervals.append(VoltageInterval(lo, hi))
-            rows.append((IntervalWord(tuple(intervals)), node.label))
+                        f"feature {f.name!r}" if family is None or (
+                            left is not None and left <= right) else
+                        f"quantization collision: path to {node.label!r} "
+                        f"collapses feature {f.name!r} to an empty level range")
+            rows.append((word(tuple(cells)), node.label))
             return
-        if not (0 <= node.feature < n):
+        if not (0 <= node.feature < len(t.features)):
             raise MalformedTreeError(f"node references unknown feature {node.feature}")
-        f = t.features[node.feature]
-        if not (f.lo <= node.threshold <= f.hi):
-            raise MalformedTreeError(
-                f"threshold {node.threshold} outside domain of {f.name!r}")
-        theta = to_v(node.feature, node.threshold)
-        lo, hi = constraints[node.feature]
+        f, theta = t.features[node.feature], node.threshold
+        if not (f.lo <= theta <= f.hi):
+            raise MalformedTreeError(f"threshold {theta} outside domain of {f.name!r}")
+        right, left = turns.get(node.feature, (f.lo, None))
+        walk(node.left, {**turns, node.feature: (
+            right, theta if left is None else min(left, theta))})
+        walk(node.right, {**turns, node.feature: (max(right, theta), left)})
 
-        left = dict(constraints)
-        left[node.feature] = (lo, min(hi, theta - THRESHOLD_UNDERLAP_V
-                                      - BOUNDARY_GAP_V))
-        walk(node.left, left)
-
-        right = dict(constraints)
-        right[node.feature] = (max(lo, theta - THRESHOLD_UNDERLAP_V), hi)
-        walk(node.right, right)
-
-    walk(t.root, {fi: (window.lo, window.hi) for fi in range(n)})
-
-    if bits_per_cell is None:
-        table = CamTable(rows=tuple(rows), width_bits=None, bits_per_cell=None)
-        return TreeTable(table=table, features=t.features, window=window,
-                         variant=variant, ts=ts)
-
-    family = default_level_family(1 << bits_per_cell, p, variant, ts)
-    n_levels = family.n_levels
-    pitch = window.width / n_levels
-
-    def snap(word: IntervalWord, label: str) -> DigitWord:
-        digits = []
-        for fi, iv in enumerate(word.intervals):
-            k_lo = round((iv.lo - window.lo) / pitch)
-            k_hi = round((iv.hi - window.lo) / pitch)
-            i_lo = max(k_lo, 0)
-            i_hi = min(k_hi - 1, n_levels - 1)
-            if i_lo > i_hi:
-                raise MalformedTreeError(
-                    f"quantization collision: path to {label!r} collapses "
-                    f"feature {t.features[fi].name!r} to an empty level range")
-            digits.append(DigitSpec(i_lo, i_hi, n_levels))
-        return DigitWord(tuple(digits))
-
-    qrows = tuple((snap(word, label), label) for word, label in rows)
-    table = CamTable(rows=qrows, width_bits=None, bits_per_cell=bits_per_cell)
+    walk(t.root, {})
+    table = CamTable(rows=tuple(rows), width_bits=None,
+                     bits_per_cell=bits_per_cell)
     return TreeTable(table=table, features=t.features, window=window,
                      family=family, variant=variant, ts=ts)
 
@@ -283,31 +279,55 @@ def _decode(table: CamTable, words: np.ndarray):
 # JSON ingestion
 # ---------------------------------------------------------------------------
 
+def _typed(value, types: tuple, what: str):
+    """``value`` if it is one of ``types`` and not a bool (JSON true or
+    false); anything else is a TypeError saying ``what``."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(what)
+    return value
+
+
+def _number(value, what: str) -> float:
+    return float(_typed(value, (int, float), f"{what} must be a number"))
+
+
+def features_from_json(items) -> tuple[FeatureSpec, ...]:
+    """Features of a [{"name", "lo", "hi"}...] list, as tree documents and
+    compiled tree tables hold them. A missing key is a KeyError, and a
+    domain bound that is not a JSON number a TypeError."""
+    return tuple(FeatureSpec(f["name"], _number(f["lo"], 'feature "lo"'),
+                             _number(f["hi"], 'feature "hi"'))
+                 for f in items)
+
+
 def tree_from_json_dict(doc: dict) -> DecisionTree:
     """Parse {"features": [{name, lo, hi}...], "root": {...}} documents.
 
     Internal nodes carry {"feature", "threshold", "left", "right"}; leaves
-    carry {"label"}.
+    carry {"label"}. A missing key is a :class:`DomainError`; a feature
+    index that is not a JSON integer, a threshold or domain bound that is
+    not a JSON number, or a label that is neither a string nor a number is
+    a TypeError.
     """
     try:
-        features = tuple(FeatureSpec(name=f["name"], lo=float(f["lo"]),
-                                     hi=float(f["hi"]))
-                         for f in doc["features"])
+        features = features_from_json(doc["features"])
     except KeyError as e:
         raise DomainError(f"tree document missing feature field {e}") from e
 
     def parse(node):
         if "label" in node:
-            return TreeLeaf(label=str(node["label"]))
+            return TreeLeaf(label=str(_typed(
+                node["label"], (str, int, float),
+                '"label" must be a string or a number')))
         try:
-            return TreeNode(feature=int(node["feature"]),
-                            threshold=float(node["threshold"]),
-                            left=parse(node["left"]),
-                            right=parse(node["right"]))
+            return TreeNode(
+                feature=_typed(node["feature"], (int,),
+                               '"feature" must be an integer'),
+                threshold=_number(node["threshold"], '"threshold"'),
+                left=parse(node["left"]), right=parse(node["right"]))
         except KeyError as e:
             raise DomainError(f"tree node missing field {e}") from e
 
     if "root" not in doc:
         raise DomainError("tree document missing 'root'")
     return DecisionTree(features=features, root=parse(doc["root"]))
-

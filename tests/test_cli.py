@@ -217,6 +217,16 @@ class TestCompile:
         ("hi.jsonl", {"lo": 1, "hi": "x", "width_bits": 8}),
         ("list.jsonl", [1, 2]),
         ("inf.jsonl", {"lo": float("inf"), "hi": 2, "width_bits": 8}),
+        ("float_feature.json", {**TREE_DOC, "root": {**TREE_DOC["root"],
+                                                     "feature": 1.9}}),
+        ("bool_feature.json", {**TREE_DOC, "root": {**TREE_DOC["root"],
+                                                    "feature": True}}),
+        ("string_threshold.json", {**TREE_DOC, "root": {
+            **TREE_DOC["root"], "threshold": "0.5"}}),
+        ("domain.json", {**TREE_DOC, "features": [
+            {"name": "x", "lo": False, "hi": "1"}, TREE_DOC["features"][1]]}),
+        ("label.json", {**TREE_DOC, "root": {**TREE_DOC["root"],
+                                             "left": {"label": ["R"]}}}),
     ])
     def test_wrongly_typed_input_is_parse_error(self, tmp_path, capsys, name,
                                                 doc):

@@ -8,7 +8,8 @@ import acamsim.trees
 from acamsim.cell import VoltageInterval, achievable_window
 from acamsim.errors import (AmbiguousMatchError, DomainError,
                             MalformedTreeError, OutOfWindowError)
-from acamsim.tables import CamTable, IntervalWord, lower_to_conductances
+from acamsim.tables import (CamTable, DigitSpec, IntervalWord,
+                            lower_to_conductances)
 from acamsim.trees import (DecisionTree, FeatureSpec, TreeLeaf, TreeNode,
                            TreeTable, classify_many,
                            tree_from_json_dict, tree_to_cam)
@@ -299,12 +300,39 @@ class TestQuantizedMode:
             want = [tree.classify(x) for x in xs]
             assert got == want
 
+    @pytest.mark.parametrize("variant, bits", [
+        *((v, b) for v in ("mosfet", "ts") for b in range(1, 6)), ("ts", 6)])
+    def test_one_split_on_every_level_boundary(self, params, ts_params,
+                                               variant, bits):
+        # each interior level boundary as threshold, each level midpoint as
+        # input: the threshold splits the levels exactly, with no volt margin
+        n = 1 << bits
+        xs = [[(j + 0.5) / n] for j in range(n)]
+        ts = ts_params if variant == "ts" else None
+        for k in range(1, n):
+            t = DecisionTree(features=(UNIT,), root=TreeNode(
+                0, k / n, TreeLeaf("L"), TreeLeaf("R")))
+            tt = tree_to_cam(t, params, variant=variant, ts=ts,
+                             bits_per_cell=bits)
+            assert [w.digits[0] for w, _ in tt.table.rows] == [
+                DigitSpec(0, k - 1, n), DigitSpec(k, n - 1, n)]
+            assert classify_many(tt, xs, params) == ["L"] * k + ["R"] * (n - k)
+
     def test_collision_detected(self, params):
         # two distinct thresholds inside one 8-level slot collapse a path
         inner = TreeNode(0, 0.52, TreeLeaf("m"), TreeLeaf("r"))
         t = DecisionTree(features=(UNIT,),
                          root=TreeNode(0, 0.5, TreeLeaf("l"), inner))
-        with pytest.raises(MalformedTreeError):
+        with pytest.raises(MalformedTreeError, match="quantization collision"):
+            tree_to_cam(t, params, bits_per_cell=3)
+
+    def test_contradictory_path_is_an_empty_interval(self, params):
+        # right of 0.8 then left of 0.2 is empty before any snapping
+        inner = TreeNode(0, 0.2, TreeLeaf("a"), TreeLeaf("b"))
+        t = DecisionTree(features=(UNIT,), root=TreeNode(0, 0.8,
+                                                         TreeLeaf("c"), inner))
+        with pytest.raises(MalformedTreeError,
+                           match="path to leaf 'a' has empty interval"):
             tree_to_cam(t, params, bits_per_cell=3)
 
     def test_quantized_rows_are_digit_words(self, params):
@@ -320,7 +348,7 @@ class TestQuantizedMode:
 
 def test_tree_json_round_trip():
     doc = {"features": [{"name": "x", "lo": 0, "hi": 1},
-                        {"name": "y", "lo": "-2", "hi": 2.5}],
+                        {"name": "y", "lo": -2, "hi": 2.5}],
            "root": {"feature": 1, "threshold": 0.5,
                     "left": {"label": 7},
                     "right": {"feature": 0, "threshold": 0.25,
@@ -334,6 +362,10 @@ def test_tree_json_round_trip():
         tree_from_json_dict({"features": []})
     with pytest.raises(DomainError):
         tree_from_json_dict({"features": [], "root": {"feature": 0}})
+    # a domain bound must be a JSON number, not a numeric string
+    doc["features"][1]["lo"] = "-2"
+    with pytest.raises(TypeError, match='feature "lo" must be a number'):
+        tree_from_json_dict(doc)
 
 
 def test_feature_domain_validation():
