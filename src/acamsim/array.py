@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import CellConfig, VoltageInterval, bounds_from_conductance
+from .cell import VoltageInterval, bounds_from_conductance
 from .devices import (DeviceParams, TsDeviceParams, _bisect,
                       _divider_midpoint, _divider_transistor, _inverter_input,
                       inverter_output, pulldown_conductance,
@@ -215,7 +215,8 @@ def _leg_gate_threshold(variant: str, tp: TsDeviceParams | None,
     """
     if _leg(p.v_slhi, variant, p, tp) < k:
         return p.v_slhi, None
-    return _bisect(lambda v: _leg(v, variant, p, tp) < k, 0.0, p.v_slhi, 40)
+    return tuple(map(float, _bisect(lambda v: _leg(v, variant, p, tp) < k,
+                                    0.0, p.v_slhi, 40)))
 
 
 def _gate_bounds(g1: np.ndarray, g2: np.ndarray, v_g: float,
@@ -481,12 +482,11 @@ def _column_sweep(a: ArraySpec, row: int, col: int, p: DeviceParams,
     if step < 1 / (MAX_SWEEP_POINTS - 1):
         raise DomainError(f"step must be at least {1 / (MAX_SWEEP_POINTS - 1):g} "
                           f"V: a sweep holds at most {MAX_SWEEP_POINTS} grid points")
-    bias = [bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
-                                    a.ts_params).mid
-            for g1, g2 in zip(a.g1[row].tolist(), a.g2[row].tolist())]
+    lo, hi = bounds_from_conductance(a.g1[row], a.g2[row], p, a.variant,
+                                     a.ts_params)
     grid = np.arange(0.0, 1.0 + step / 2, step)
     grid = grid[grid <= 1.0]  # arange can overshoot 1 V by up to step / 2
-    stims = np.tile(np.asarray(bias, dtype=float), (len(grid), 1))
+    stims = np.tile(0.5 * (lo + hi), (len(grid), 1))
     stims[:, col] = grid
     return grid, stims
 
@@ -505,18 +505,15 @@ def effective_bounds_in_array(a: ArraySpec, row: int, col: int,
     if len(idx) == 0:
         raise EmptyIntervalError(
             f"cell ({row}, {col}) matches nowhere on the sweep grid")
-    stim = stims[:1].copy()  # one word, re-used by every bisection step
+    # both edges at once, each against the next grid point out (or itself)
+    outside = grid[[max(idx[0] - 1, 0), min(idx[-1] + 1, len(grid) - 1)]]
+    stim = np.repeat(stims[:1], 2, axis=0)  # re-used by every bisection step
 
-    def matches(v: float) -> bool:
-        stim[0, col] = v
-        return search_many(a, stim, p)[0, row]
+    def matches(v: np.ndarray) -> np.ndarray:
+        stim[:, col] = v
+        return search_many(a, stim, p)[:, row]
 
-    lo = grid[idx[0]]
-    if idx[0] > 0:
-        lo, _ = _bisect(matches, lo, grid[idx[0] - 1], 40, tol=1e-6)
-    hi = grid[idx[-1]]
-    if idx[-1] < len(grid) - 1:
-        hi, _ = _bisect(matches, hi, grid[idx[-1] + 1], 40, tol=1e-6)
+    (lo, hi), _ = _bisect(matches, grid[idx[[0, -1]]], outside, 40, tol=1e-6)
     return VoltageInterval(float(lo), float(hi))
 
 

@@ -9,7 +9,8 @@ In the triode regime both bounds are affine in the stored conductance:
     hi = g_m2 * (v_slhi / v_th_inv - 1) / beta + v_th
 
 Outside the triode regime (small conductances) the bound follows the
-sub-threshold branch of the divider transistor and is found numerically.
+sub-threshold branch, also in closed form; only bounds in the 10 mV blend
+window between the branches are bisected. Both mappings work elementwise.
 ``calibrate`` recovers the free parameters from published single-cell
 operating points; foundry values are not available, so the default parameter
 set is the calibration product.
@@ -61,14 +62,8 @@ class CellConfig:
 
 
 # ---------------------------------------------------------------------------
-# conductance -> bounds
+# conductance <-> bounds, elementwise
 # ---------------------------------------------------------------------------
-
-def _check_window(g: float, p: DeviceParams, which: str):
-    if not (p.g_min <= g <= p.g_max):
-        raise DomainError(
-            f"{which}={g:.3e} S outside window [{p.g_min:.3e}, {p.g_max:.3e}] S")
-
 
 def _crossing_voltages(p: DeviceParams, variant: str,
                        ts: TsDeviceParams | None) -> tuple[float, float]:
@@ -88,31 +83,37 @@ def _crossing_voltages(p: DeviceParams, variant: str,
     raise DomainError(f"unknown cell variant {variant!r}")
 
 
-def _bound_from_g(g: float, v_cross: float, p: DeviceParams) -> float:
-    """DL voltage where the divider midpoint crosses ``v_cross``.
+def _bound_from_g(g_m, v_cross: float, p: DeviceParams, which: str):
+    """DL voltage where the divider midpoint over ``g_m`` crosses ``v_cross``.
 
     The midpoint equals v_cross when the transistor conductance reaches
-    ``_divider_transistor(g, v_cross)``; inverting the transistor curve gives
-    the bound directly (numeric only inside the blend window).
+    ``_divider_transistor(g_m, v_cross)``; inverting the transistor curve
+    gives the bound directly. Raises :class:`DomainError` naming the first
+    conductance outside the programmable window.
     """
+    g = np.asarray(g_m, dtype=float)
+    ok = (p.g_min <= g) & (g <= p.g_max)  # NaN fails it too
+    if not ok.all():
+        raise DomainError(
+            f"{which}={g.flat[np.argmin(ok)]:.3e} S outside window "
+            f"[{p.g_min:.3e}, {p.g_max:.3e}] S")
     if not (0.0 < v_cross < p.v_slhi):
         raise DomainError(f"crossing level {v_cross} outside (0, v_slhi)")
     v = transistor_conductance_inverse(_divider_transistor(g, v_cross, p), p)
-    return min(max(v, 0.0), 1.0)
+    v = np.minimum(np.maximum(v, 0.0), 1.0)  # np.clip costs twice as much
+    return float(v) if np.isscalar(g_m) else v
 
 
-def lower_bound_voltage(g_m1: float, p: DeviceParams, variant: str = "mosfet",
-                        ts: TsDeviceParams | None = None) -> float:
-    _check_window(g_m1, p, "g_m1")
-    v_lo_cross, _ = _crossing_voltages(p, variant, ts)
-    return _bound_from_g(g_m1, v_lo_cross, p)
+def lower_bound_voltage(g_m1, p: DeviceParams, variant: str = "mosfet",
+                        ts: TsDeviceParams | None = None):
+    """Lower bound stored by memristor conductance ``g_m1``, elementwise."""
+    return _bound_from_g(g_m1, _crossing_voltages(p, variant, ts)[0], p, "g_m1")
 
 
-def upper_bound_voltage(g_m2: float, p: DeviceParams, variant: str = "mosfet",
-                        ts: TsDeviceParams | None = None) -> float:
-    _check_window(g_m2, p, "g_m2")
-    _, v_hi_cross = _crossing_voltages(p, variant, ts)
-    return _bound_from_g(g_m2, v_hi_cross, p)
+def upper_bound_voltage(g_m2, p: DeviceParams, variant: str = "mosfet",
+                        ts: TsDeviceParams | None = None):
+    """Upper bound stored by memristor conductance ``g_m2``, elementwise."""
+    return _bound_from_g(g_m2, _crossing_voltages(p, variant, ts)[1], p, "g_m2")
 
 
 # Largest inversion (lo - hi) that counts as floating-point rounding. The two
@@ -122,34 +123,39 @@ def upper_bound_voltage(g_m2: float, p: DeviceParams, variant: str = "mosfet",
 BOUND_ROUNDING_TOL_V = 1e-12
 
 
-def bounds_from_conductance(c: CellConfig, p: DeviceParams,
+def bounds_from_conductance(g_m1, g_m2, p: DeviceParams,
                             variant: str = "mosfet",
-                            ts: TsDeviceParams | None = None) -> VoltageInterval:
-    """Map a programmed conductance pair to its stored match interval.
+                            ts: TsDeviceParams | None = None):
+    """Stored match intervals ``(lo, hi)`` of conductance pairs, elementwise
+    (``g_m1`` and ``g_m2`` have one shape).
 
     An inversion no larger than ``BOUND_ROUNDING_TOL_V`` is rounding and
     yields the zero-width interval at the midpoint of the two bounds. Raises
-    :class:`InconsistentCellError` if the pair maps to an interval inverted
-    by more (upper-bound divider crossing below the lower-bound one).
+    :class:`InconsistentCellError` for the first pair in C order that maps to
+    an interval inverted by more (upper-bound divider crossing below the
+    lower-bound one).
     """
-    lo = lower_bound_voltage(c.g_m1, p, variant, ts)
-    hi = upper_bound_voltage(c.g_m2, p, variant, ts)
-    if lo > hi + BOUND_ROUNDING_TOL_V:
+    g1, g2 = np.asarray(g_m1, dtype=float), np.asarray(g_m2, dtype=float)
+    lo = lower_bound_voltage(g1, p, variant, ts)
+    hi = upper_bound_voltage(g2, p, variant, ts)
+    bad = lo > hi + BOUND_ROUNDING_TOL_V
+    if bad.any():
+        k = np.argmax(bad)
         raise InconsistentCellError(
-            f"conductances ({c.g_m1:.3e}, {c.g_m2:.3e}) S map to inverted "
-            f"interval [{lo:.4f}, {hi:.4f}] V")
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return VoltageInterval(lo, hi)
+            f"conductances ({g1.flat[k]:.3e}, {g2.flat[k]:.3e}) S map to "
+            f"inverted interval [{lo.flat[k]:.4f}, {hi.flat[k]:.4f}] V")
+    lo, hi = np.where(lo > hi, 0.5 * (lo + hi), (lo, hi))
+    return (float(lo), float(hi)) if np.isscalar(g_m1) else (lo, hi)
 
 
-def _conductance_targets(lo, hi, p: DeviceParams, variant: str,
-                         ts: TsDeviceParams | None, where=lambda k: ""):
+def conductance_from_bounds(lo, hi, p: DeviceParams, variant: str = "mosfet",
+                            ts: TsDeviceParams | None = None,
+                            where=lambda k: ""):
     """Conductance targets ``(g_m1, g_m2)`` storing ``[lo, hi]``, elementwise.
 
-    ``lo`` and ``hi`` are arrays of one shape (one entry per cell). Uses the
-    divider equation in closed form: the midpoint sits at the crossing level
-    when ``g = _divider_memristor(G_T(v), v_cross)``. Raises
+    ``lo`` and ``hi`` have one shape (one entry per cell). Uses the divider
+    equation in closed form: the midpoint sits at the crossing level when
+    ``g = _divider_memristor(G_T(v), v_cross)``. Raises
     :class:`OutOfWindowError` for the first cell in C order whose target
     falls outside the programmable window, its lower bound checked before
     its upper; the message starts with ``where(flat index of that cell)``.
@@ -157,33 +163,17 @@ def _conductance_targets(lo, hi, p: DeviceParams, variant: str,
     v_lo_cross, v_hi_cross = _crossing_voltages(p, variant, ts)
     g1 = _divider_memristor(transistor_conductance(lo, p), v_lo_cross, p)
     g2 = _divider_memristor(transistor_conductance(hi, p), v_hi_cross, p)
-    ok1 = (p.g_min <= g1) & (g1 <= p.g_max)
-    bad = ~(ok1 & (p.g_min <= g2) & (g2 <= p.g_max))
-    if bad.any():
-        k = int(np.argmax(bad.ravel()))
-        if not ok1.flat[k]:
-            raise OutOfWindowError(
-                f"{where(k)}lower bound {lo.flat[k]:.4f} V needs "
-                f"g_m1={g1.flat[k]:.3e} S outside [{p.g_min:.3e}, {p.g_max:.3e}] S",
-                bound="lo")
+    ok1 = np.logical_and(p.g_min <= g1, g1 <= p.g_max)
+    ok = ok1 & (p.g_min <= g2) & (g2 <= p.g_max)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        lower = not ok1.flat[k]
+        name, v, g, m = ("lower", lo, g1, 1) if lower else ("upper", hi, g2, 2)
         raise OutOfWindowError(
-            f"{where(k)}upper bound {hi.flat[k]:.4f} V needs "
-            f"g_m2={g2.flat[k]:.3e} S outside [{p.g_min:.3e}, {p.g_max:.3e}] S",
-            bound="hi")
+            f"{where(k)}{name} bound {np.ravel(v)[k]:.4f} V needs g_m{m}="
+            f"{np.ravel(g)[k]:.3e} S outside [{p.g_min:.3e}, {p.g_max:.3e}] S",
+            bound="lo" if lower else "hi")
     return g1, g2
-
-
-def conductance_from_bounds(iv: VoltageInterval, p: DeviceParams,
-                            variant: str = "mosfet",
-                            ts: TsDeviceParams | None = None) -> CellConfig:
-    """Inverse mapping: conductance targets that store the interval ``iv``.
-
-    Raises :class:`OutOfWindowError` naming the bound whose target falls
-    outside the programmable window (see :func:`_conductance_targets`).
-    """
-    g1, g2 = _conductance_targets(np.array([iv.lo]), np.array([iv.hi]), p,
-                                  variant, ts)
-    return CellConfig(g_m1=float(g1[0]), g_m2=float(g2[0]))
 
 
 # How far achievable_window pulls its edges in from the window's images (V).
@@ -199,10 +189,9 @@ def achievable_window(p: DeviceParams, variant: str = "mosfet",
     the smaller of the two g_max images (and the floor the larger of the
     two g_min images), pulled in by ``WINDOW_MARGIN_V``.
     """
-    lo_floor = lower_bound_voltage(p.g_min, p, variant, ts)
-    lo_ceil = lower_bound_voltage(p.g_max, p, variant, ts)
-    hi_floor = upper_bound_voltage(p.g_min, p, variant, ts)
-    hi_ceil = upper_bound_voltage(p.g_max, p, variant, ts)
+    window = np.array([p.g_min, p.g_max])
+    lo_floor, lo_ceil = lower_bound_voltage(window, p, variant, ts).tolist()
+    hi_floor, hi_ceil = upper_bound_voltage(window, p, variant, ts).tolist()
     floor = max(lo_floor, hi_floor) + WINDOW_MARGIN_V
     ceil = min(lo_ceil, hi_ceil) - WINDOW_MARGIN_V
     if floor >= ceil:
@@ -308,11 +297,9 @@ def calibrate(anchors) -> CalibrationResult:
     params = DeviceParams(v_th=float(v_th), v_th_ml=v_th_ml,
                           v_th_inv=float(v_th_inv), beta=float(beta))
 
-    residuals = []
-    for cell, iv in anchors:
-        lo = lower_bound_voltage(cell.g_m1, params)
-        hi = upper_bound_voltage(cell.g_m2, params)
-        residuals.append(max(abs(lo - iv.lo), abs(hi - iv.hi)))
+    lo = lower_bound_voltage(a[0::2, 0], params)  # the anchors' g_m1
+    hi = upper_bound_voltage(a[1::2, 1], params)  # and g_m2
+    residuals = np.maximum(abs(lo - b[0::2]), abs(hi - b[1::2])).tolist()
     if max(residuals) > MAX_RESIDUAL_V:
         raise CalibrationError(
             f"anchor residual {max(residuals) * 1e3:.1f} mV exceeds "

@@ -21,7 +21,7 @@ expressed as conductances:
 * ``program_memristor`` - iterative program-and-verify write with Gaussian
   per-pulse error.
 
-Functions accept scalars or numpy arrays for the voltage argument.
+Functions accept scalars or numpy arrays (voltages or conductances).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ BLEND_V = 0.010
 # stands in for the step so array-level boundaries move smoothly.
 PD_BLEND_V = 0.003
 
-# Default per-pulse write noise of the program-and-verify loop (S).
+# Per-pulse write noise (standard deviation) of program_memristor (S).
 DEFAULT_PROGRAM_SIGMA = 2e-6
 
 LN10 = math.log(10.0)
@@ -201,37 +201,54 @@ def transistor_conductance(v_dl, p: DeviceParams):
 
 
 def _bisect(below, lo, hi, steps: int, tol: float = 0.0):
-    """``(lo, hi)`` halved ``steps`` times, or until ``|hi - lo| < tol``:
-    ``below`` holds at ``lo`` and fails at ``hi`` (either may be the larger),
-    and each step moves the end on the midpoint's side to the midpoint."""
+    """``(lo, hi)``, arrays of the result's shape, halved ``steps`` times
+    elementwise: ``below`` holds at ``lo`` and fails at ``hi`` (either may be
+    the larger), and each step moves the end on the midpoint's side to the
+    midpoint. With ``tol``, an element stops once ``|hi - lo| < tol``."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live, last = True, None
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < tol:
-            break
+        if last is not None and (mid == last).all():
+            break  # every end already sits where this step would put it
+        side = below(mid) & live
+        np.copyto(lo, mid, where=side)  # in place: a third of np.where's cost
+        np.copyto(hi, mid, where=side ^ live)
+        if tol:
+            live = live & (abs(hi - lo) >= tol)
+            if not live.any():
+                break
+        last = mid
     return lo, hi
 
 
-def transistor_conductance_inverse(g_t: float, p: DeviceParams) -> float:
+def transistor_conductance_inverse(g_t, p: DeviceParams):
     """DL voltage at which the divider transistor reaches conductance ``g_t``.
 
-    Closed form on the triode and sub-threshold branches; bisection inside
-    the blend window (the curve is strictly monotone there).
+    Elementwise. Closed form on the triode and sub-threshold branches (the
+    latter through ``math.log10``, whose rounding lowered targets and level
+    windows depend on); one bisection for every element in the blend window.
+    Raises :class:`DomainError` unless every target is positive and finite.
     """
-    if g_t <= 0:
-        raise DomainError("target conductance must be positive")
+    g = np.asarray(g_t, dtype=float)
+    flat = g.ravel().tolist()  # for math.log10, and cheaper than numpy here
+    bad = [x for x in flat if not 0.0 < x < math.inf]  # NaN is bad too
+    if bad:
+        raise DomainError("target conductance must be positive" if bad[0] <= 0
+                          else f"target conductance must be finite, got {bad[0]}")
     swing_v = p.swing * 1e-3
     e0 = p.beta * BLEND_V / 4.0
-    if g_t >= p.beta * BLEND_V:
-        return p.v_th + g_t / p.beta
-    if g_t <= e0:
-        return p.v_th + swing_v * math.log10(g_t / e0)
-    lo, hi = _bisect(lambda v: transistor_conductance(v, p) < g_t,
-                     p.v_th, p.v_th + BLEND_V, 60)
-    return 0.5 * (lo + hi)
+    v = np.array([p.v_th + x / p.beta if x >= p.beta * BLEND_V
+                  else p.v_th + swing_v * math.log10(x / e0) if x <= e0
+                  else math.nan for x in flat]).reshape(g.shape)
+    blend = np.isnan(v)
+    if blend.any():
+        g_b = g[blend]
+        v_th = np.full(g_b.shape, p.v_th)
+        lo, hi = _bisect(lambda u: transistor_conductance(u, p) < g_b,
+                         v_th, v_th + BLEND_V, 60)
+        v[blend] = 0.5 * (lo + hi)
+    return float(v) if np.isscalar(g_t) else v
 
 
 def inverter_output(v_in, p: DeviceParams):
@@ -328,16 +345,15 @@ def ts_conductance_off_curve(v, tp: TsDeviceParams):
 # ---------------------------------------------------------------------------
 
 def program_memristor(target: float, seed, tol: float, max_iters: int,
-                      p: DeviceParams,
-                      sigma: float = DEFAULT_PROGRAM_SIGMA) -> ProgramResult:
+                      p: DeviceParams) -> ProgramResult:
     """Program-and-verify write loop.
 
-    Each pulse lands at ``target + N(0, sigma)`` clipped to the conductance
-    window; the loop stops once the read-back error is within ``tol``.
-    Deterministic for a given ``seed``, which seeds
+    Each pulse lands at ``target + N(0, DEFAULT_PROGRAM_SIGMA)`` clipped to
+    the conductance window; the loop stops once the read-back error is
+    within ``tol``. Deterministic for a given ``seed``, which seeds
     ``np.random.default_rng``. Raises :class:`DomainError` for a
-    non-finite or non-positive ``tol``, a non-finite or negative ``sigma``
-    and a seed numpy rejects (a negative entry, say), and
+    non-finite or non-positive ``tol`` and a seed numpy rejects (a
+    negative entry, say), and
     :class:`ProgrammingError` carrying the best conductance reached if
     ``max_iters`` pulses are not enough.
     """
@@ -346,8 +362,6 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
             f"target {target:.3e} S outside window [{p.g_min:.3e}, {p.g_max:.3e}] S")
     if not (0 < tol < math.inf):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if not (0 <= sigma < math.inf):
-        raise DomainError(f"sigma must be non-negative and finite, got {sigma}")
     if max_iters < 1:
         raise DomainError("max_iters must be at least 1")
 
@@ -359,7 +373,8 @@ def program_memristor(target: float, seed, tol: float, max_iters: int,
     best = None
     for i in range(1, max_iters + 1):
         # min/max on Python floats: np.clip on a scalar costs several us a pulse
-        g = float(min(max(target + rng.normal(0.0, sigma), p.g_min), p.g_max))
+        g = target + rng.normal(0.0, DEFAULT_PROGRAM_SIGMA)
+        g = float(min(max(g, p.g_min), p.g_max))
         if best is None or abs(g - target) < abs(best - target):
             best = g
         if abs(g - target) <= tol:

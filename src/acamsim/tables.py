@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import (CellConfig, DeviceParams, VoltageInterval,
-                   _conductance_targets, achievable_window, quantize_levels)
+                   achievable_window, conductance_from_bounds, quantize_levels)
 from .devices import TsDeviceParams
 from .errors import DomainError
 
@@ -310,7 +310,7 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
     n_cols = t.n_cols
     lo = np.array([iv.lo for iv in specs], dtype=float)
     hi = np.array([iv.hi for iv in specs], dtype=float)
-    g1, g2 = _conductance_targets(
+    g1, g2 = conductance_from_bounds(
         lo, hi, p, variant, ts,
         where=lambda k: f"row {k // n_cols} digit {k % n_cols}: ")
     cells = [CellConfig(a, b) for a, b in zip(g1.tolist(), g2.tolist())]

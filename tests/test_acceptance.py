@@ -72,10 +72,10 @@ def test_criterion_1_calibration_fidelity(tmp_path):
         assert main(["--out", str(tmp_path), "calibrate", str(anchors)]) == 0
         doc = json.loads((tmp_path / "device_params.json").read_text())
         p = DeviceParams.from_json_dict(doc)
-        iv = bounds_from_conductance(CellConfig(40e-6, 80e-6), p)
+        iv = VoltageInterval(*bounds_from_conductance(40e-6, 80e-6, p))
         assert abs(iv.lo - 0.37) <= 0.010
         assert abs(iv.hi - 0.42) <= 0.010
-        iv = bounds_from_conductance(CellConfig(20e-6, 80e-6), p)
+        iv = VoltageInterval(*bounds_from_conductance(20e-6, 80e-6, p))
         assert abs(iv.lo - 0.33) <= 0.010
         assert abs(iv.hi - 0.43) <= 0.010
 
@@ -150,7 +150,8 @@ def test_criterion_4_cost_report():
 def test_criterion_5_array_leakage_shift():
     with Criterion(5, "array leakage shift", 30.0):
         p = calibrated_defaults()
-        cell = conductance_from_bounds(REFERENCE_INTERVAL, p)
+        cell = CellConfig(*conductance_from_bounds(
+            REFERENCE_INTERVAL.lo, REFERENCE_INTERVAL.hi, p))
         bounds = {n: in_array_bounds(cell, n, p) for n in (2, 8, 16, 32, 64)}
         base = bounds[2]
         shifts = {n: max(abs(bounds[n].lo - base.lo),
@@ -175,7 +176,8 @@ def test_criterion_5_array_leakage_shift():
 def test_criterion_6_row_scaling():
     with Criterion(6, "row scaling", 30.0):
         p = calibrated_defaults()
-        cell = conductance_from_bounds(REFERENCE_INTERVAL, p)
+        cell = CellConfig(*conductance_from_bounds(
+            REFERENCE_INTERVAL.lo, REFERENCE_INTERVAL.hi, p))
         lat = {}
         for rows in (2, 512):
             a = make_array([[cell] * 12] * rows)
@@ -203,11 +205,11 @@ def _independence_check(p):
     for _ in range(50):
         g1 = rng.uniform(p.g_min, 70e-6)
         g2a, g2b = rng.uniform(80e-6, p.g_max, 2)
-        lo_a = bounds_from_conductance(CellConfig(g1, g2a), p).lo
-        lo_b = bounds_from_conductance(CellConfig(g1, g2b), p).lo
+        lo_a = bounds_from_conductance(g1, g2a, p)[0]
+        lo_b = bounds_from_conductance(g1, g2b, p)[0]
         assert abs(lo_a - lo_b) < 1e-4
-        hi_a = bounds_from_conductance(CellConfig(g1, g2a), p).hi
-        hi_b = bounds_from_conductance(CellConfig(p.g_min, g2a), p).hi
+        hi_a = bounds_from_conductance(g1, g2a, p)[1]
+        hi_b = bounds_from_conductance(p.g_min, g2a, p)[1]
         assert abs(hi_a - hi_b) < 1e-4
 
 
@@ -218,7 +220,8 @@ def _round_trip_check(p):
         lo = rng.uniform(w.lo, w.hi - 1e-3)
         hi = rng.uniform(lo, w.hi)
         iv = VoltageInterval(lo, hi)
-        back = bounds_from_conductance(conductance_from_bounds(iv, p), p)
+        back = VoltageInterval(*bounds_from_conductance(
+            *conductance_from_bounds(iv.lo, iv.hi, p), p))
         assert abs(back.lo - iv.lo) <= 1e-3
         assert abs(back.hi - iv.hi) <= 1e-3
 
@@ -241,7 +244,8 @@ def _search_oracle_check(p, cases=10000, margin=0.030):
                 hi = rng.uniform(lo + 2.4 * margin, w.hi)
                 iv = VoltageInterval(lo, hi)
                 row_iv.append(iv)
-                row_cells.append(conductance_from_bounds(iv, p))
+                row_cells.append(CellConfig(*conductance_from_bounds(
+                    iv.lo, iv.hi, p)))
             intervals.append(row_iv)
             cells.append(row_cells)
         a = make_array(cells)
@@ -314,8 +318,10 @@ def _tree_oracle_check(p, n_trees=1000, n_inputs=10000):
 
 def _ts_shift_check(p):
     ts = TsDeviceParams()
-    mos_cell = conductance_from_bounds(REFERENCE_INTERVAL, p)
-    ts_cell = conductance_from_bounds(REFERENCE_INTERVAL, p, "ts", ts)
+    mos_cell = CellConfig(*conductance_from_bounds(
+        REFERENCE_INTERVAL.lo, REFERENCE_INTERVAL.hi, p))
+    ts_cell = CellConfig(*conductance_from_bounds(
+        REFERENCE_INTERVAL.lo, REFERENCE_INTERVAL.hi, p, "ts", ts))
 
     def shift(variant, cell, n, tsp):
         b2 = in_array_bounds(cell, 2, p, variant, tsp)

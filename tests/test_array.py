@@ -28,7 +28,8 @@ REFERENCE_INTERVAL = VoltageInterval(0.33, 0.43)
 
 
 def reference_cell(params, variant="mosfet", ts=None):
-    return conductance_from_bounds(REFERENCE_INTERVAL, params, variant, ts)
+    return CellConfig(*conductance_from_bounds(
+        REFERENCE_INTERVAL.lo, REFERENCE_INTERVAL.hi, params, variant, ts))
 
 
 class TestSearch:
@@ -57,7 +58,8 @@ class TestSearch:
             iv = VoltageInterval(lo, hi)
             swept_intervals.append(iv)
             row = [reference_cell(params)] * (cols - 1)
-            row.insert(0, conductance_from_bounds(iv, params))
+            row.insert(0, CellConfig(*conductance_from_bounds(iv.lo, iv.hi,
+                                                              params)))
             cells.append(row)
         a = make_array(cells)
         vs = np.linspace(w.lo + 0.01, w.hi - 0.01, 40)
@@ -134,7 +136,8 @@ class TestTsVariant:
 
     def test_stored_range_round_trips(self, params, ts_params):
         cell = reference_cell(params, "ts", ts_params)
-        iv = bounds_from_conductance(cell, params, "ts", ts_params)
+        iv = VoltageInterval(*bounds_from_conductance(
+            cell.g_m1, cell.g_m2, params, "ts", ts_params))
         assert iv.lo == pytest.approx(REFERENCE_INTERVAL.lo, abs=1e-4)
         assert iv.hi == pytest.approx(REFERENCE_INTERVAL.hi, abs=1e-4)
 
@@ -153,7 +156,8 @@ class TestTsVariant:
 class TestEffectiveBounds:
     def test_two_columns_match_isolated_cell(self, params):
         cell = reference_cell(params)
-        iso = bounds_from_conductance(cell, params)
+        iso = VoltageInterval(*bounds_from_conductance(cell.g_m1, cell.g_m2,
+                                                       params))
         a = make_array([[cell, cell]])
         iv = effective_bounds_in_array(a, 0, 0, params, step=0.002)
         assert iv.lo == pytest.approx(iso.lo, abs=0.002)
@@ -177,9 +181,35 @@ class TestEffectiveBounds:
         assert abs(b72.lo - b2.lo) <= 0.010
         assert abs(b72.hi - b2.hi) <= 0.010
 
+    def test_both_edges_refined_by_one_search_per_step(self, params,
+                                                       monkeypatch):
+        a = make_array([[reference_cell(params)] * 2])
+        want = effective_bounds_in_array(a, 0, 0, params, step=0.002)
+        sizes = []
+        real = acamsim.array.search_many
+
+        def counting(a, stimuli, p):
+            sizes.append(len(stimuli))
+            return real(a, stimuli, p)
+
+        monkeypatch.setattr(acamsim.array, "search_many", counting)
+        assert effective_bounds_in_array(a, 0, 0, params, step=0.002) == want
+        # the 501-point sweep, then 2 mV halved below 1 uV: 11 two-word steps
+        assert sizes == [501] + [2] * 11
+
+    def test_edge_at_the_grid_end_stays_there(self, params):
+        # an upper bound beyond 1 V: the band ends at the last grid point,
+        # and only its lower edge is refined
+        p = replace(params, v_th=0.01, g_max=1e-3)
+        a = make_array([[CellConfig(20e-6, 9e-4)] * 2])
+        lo, hi = bounds_from_conductance(20e-6, 9e-4, p)
+        band = effective_bounds_in_array(a, 0, 0, p, step=0.002)
+        assert hi == band.hi == 1.0
+        assert 0.0 < band.lo - lo < 0.002
+
     def test_empty_interval_reported(self, params):
         # a band narrower than the step falls between two grid points
-        cell = conductance_from_bounds(VoltageInterval(0.403, 0.407), params)
+        cell = CellConfig(*conductance_from_bounds(0.403, 0.407, params))
         a = make_array([[cell, cell]])
         band = effective_bounds_in_array(a, 0, 0, params, step=0.001)
         assert 0.403 <= band.lo < band.hi <= 0.407
@@ -318,9 +348,9 @@ class TestArraySpec:
 def test_search_many_agrees_with_scalar_search(params):
     rng = np.random.default_rng(17)
     w = achievable_window(params)
-    cells = [[conductance_from_bounds(
-        VoltageInterval(lo := rng.uniform(w.lo, w.hi - 0.08),
-                        rng.uniform(lo + 0.07, w.hi)), params)
+    cells = [[CellConfig(*conductance_from_bounds(
+        lo := rng.uniform(w.lo, w.hi - 0.08), rng.uniform(lo + 0.07, w.hi),
+        params))
         for _ in range(5)] for _ in range(4)]
     a = make_array(cells)
     stims = rng.uniform(0.0, 1.0, size=(30, 5))
@@ -410,7 +440,8 @@ def _random_cells(rng, p, variant, ts, rows, cols):
             else:
                 lo, hi = np.sort(rng.uniform(w.lo, w.hi, size=2))
                 iv = VoltageInterval(lo, hi)
-            row.append(conductance_from_bounds(iv, p, variant, ts))
+            row.append(CellConfig(*conductance_from_bounds(iv.lo, iv.hi, p,
+                                                           variant, ts)))
         cells.append(row)
     return cells
 
@@ -421,8 +452,8 @@ def _differential_stimuli(rng, a, p, sweep_rows=None):
     Edge sweeps move one column of a row's midpoint word; they include the
     exact edge, 0 V and 1 V. ``sweep_rows`` limits them to the first rows.
     """
-    bounds = [[bounds_from_conductance(CellConfig(g1, g2), p, a.variant,
-                                       a.ts_params)
+    bounds = [[VoltageInterval(*bounds_from_conductance(g1, g2, p, a.variant,
+                                                        a.ts_params))
                for g1, g2 in zip(r1, r2)]
               for r1, r2 in zip(a.g1.tolist(), a.g2.tolist())]
     lo = np.array([[iv.lo for iv in row] for row in bounds])

@@ -26,12 +26,12 @@ def affine_slopes(p):
 
 class TestBoundsFromConductance:
     def test_reference_cell_interval(self, params):
-        iv = bounds_from_conductance(CellConfig(40e-6, 80e-6), params)
+        iv = VoltageInterval(*bounds_from_conductance(40e-6, 80e-6, params))
         assert iv.lo == pytest.approx(0.37, abs=0.010)
         assert iv.hi == pytest.approx(0.42, abs=0.010)
 
     def test_wider_reference_cell_interval(self, params):
-        iv = bounds_from_conductance(CellConfig(20e-6, 80e-6), params)
+        iv = VoltageInterval(*bounds_from_conductance(20e-6, 80e-6, params))
         assert iv.lo == pytest.approx(0.33, abs=0.010)
         assert iv.hi == pytest.approx(0.43, abs=0.010)
 
@@ -44,15 +44,38 @@ class TestBoundsFromConductance:
         hi = upper_bound_voltage(g, params)
         assert hi - lo == pytest.approx((k_hi - k_lo) * g, abs=1e-4)
         with pytest.raises(InconsistentCellError):
-            bounds_from_conductance(CellConfig(g, g), params)
+            bounds_from_conductance(g, g, params)
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_elementwise_equals_one_pair_at_a_time(self, params, ts_params,
+                                                   variant):
+        # the low end of the window maps into the divider's blend window
+        ts = ts_params if variant == "ts" else None
+        g1 = np.geomspace(params.g_min, 60e-6, 120)
+        g2 = np.geomspace(80e-6, params.g_max, 120)
+        lo, hi = bounds_from_conductance(g1, g2, params, variant, ts)
+        for k, (a, b) in enumerate(zip(g1.tolist(), g2.tolist())):
+            one = bounds_from_conductance(a, b, params, variant, ts)
+            assert one == (lo[k], hi[k])
+            assert type(one[0]) is float and type(one[1]) is float
+            assert lower_bound_voltage(a, params, variant, ts) == lo[k]
+            assert upper_bound_voltage(b, params, variant, ts) == hi[k]
+
+    def test_first_inverted_pair_is_named(self, params):
+        g1 = np.array([20e-6, 80e-6, 150e-6])
+        g2 = np.array([80e-6, 40e-6, 150e-6])
+        with pytest.raises(InconsistentCellError) as exc:
+            bounds_from_conductance(g1, g2, params)
+        assert str(exc.value) == ("conductances (8.000e-05, 4.000e-05) S map "
+                                  "to inverted interval [0.4500, 0.3575] V")
 
     def test_lower_bound_ignores_upper_memristor(self, params):
         # bound independence is exact by construction: < 0.1 mV required
-        lo_a = bounds_from_conductance(CellConfig(40e-6, 60e-6), params).lo
-        lo_b = bounds_from_conductance(CellConfig(40e-6, 120e-6), params).lo
+        lo_a = bounds_from_conductance(40e-6, 60e-6, params)[0]
+        lo_b = bounds_from_conductance(40e-6, 120e-6, params)[0]
         assert abs(lo_a - lo_b) < 1e-4
-        hi_a = bounds_from_conductance(CellConfig(20e-6, 80e-6), params).hi
-        hi_b = bounds_from_conductance(CellConfig(60e-6, 80e-6), params).hi
+        hi_a = bounds_from_conductance(20e-6, 80e-6, params)[1]
+        hi_b = bounds_from_conductance(60e-6, 80e-6, params)[1]
         assert abs(hi_a - hi_b) < 1e-4
 
     def test_bounds_strictly_increase_with_conductance(self, params):
@@ -77,7 +100,7 @@ class TestBoundsFromConductance:
 
 class TestConductanceFromBounds:
     def test_reference_interval_inverts_to_reference_cell(self, params):
-        c = conductance_from_bounds(VoltageInterval(0.37, 0.42), params)
+        c = CellConfig(*conductance_from_bounds(0.37, 0.42, params))
         assert c.g_m1 == pytest.approx(40e-6, rel=0.02)
         # the calibrated upper-bound slope splits the difference between the
         # two published anchors, so 0.42 V asks for slightly less than 80 uS
@@ -90,8 +113,8 @@ class TestConductanceFromBounds:
         lo = data.draw(st.floats(w.lo, w.hi - 0.005))
         hi = data.draw(st.floats(lo, w.hi))
         iv = VoltageInterval(lo, hi)
-        back = bounds_from_conductance(conductance_from_bounds(iv, params),
-                                       params)
+        back = VoltageInterval(*bounds_from_conductance(
+            *conductance_from_bounds(iv.lo, iv.hi, params), params))
         assert back.lo == pytest.approx(iv.lo, abs=1e-3)
         assert back.hi == pytest.approx(iv.hi, abs=1e-3)
 
@@ -103,13 +126,12 @@ class TestConductanceFromBounds:
         ts = ts_params if variant == "ts" else None
         w = achievable_window(params, variant, ts)
         grid = np.append(np.linspace(w.lo, w.hi, 5001), 0.3892079248876082)
-        for v in grid:
-            iv = VoltageInterval(v, v)
-            back = bounds_from_conductance(
-                conductance_from_bounds(iv, params, variant, ts),
-                params, variant, ts)
-            assert back.lo == pytest.approx(v, abs=1e-3)
-            assert back.hi == pytest.approx(v, abs=1e-3)
+        lo, hi = bounds_from_conductance(
+            *conductance_from_bounds(grid, grid, params, variant, ts),
+            params, variant, ts)
+        assert np.all(lo <= hi)
+        assert np.all(np.abs(lo - grid) <= 1e-3)
+        assert np.all(np.abs(hi - grid) <= 1e-3)
 
     @pytest.mark.parametrize("variant", ["mosfet", "ts"])
     def test_equals_scalar_divider_equation(self, params, ts_params, variant):
@@ -128,16 +150,16 @@ class TestConductanceFromBounds:
             expect = CellConfig(
                 transistor_conductance(lo, p) * v_lo / (p.v_slhi - v_lo),
                 transistor_conductance(hi, p) * v_hi / (p.v_slhi - v_hi))
-            got = conductance_from_bounds(VoltageInterval(lo, hi), p, variant, ts)
+            got = CellConfig(*conductance_from_bounds(lo, hi, p, variant, ts))
             assert got == expect
             assert type(got.g_m1) is float and type(got.g_m2) is float
 
     def test_unachievable_interval_names_bound(self, params):
         with pytest.raises(OutOfWindowError) as exc:
-            conductance_from_bounds(VoltageInterval(0.37, 0.95), params)
+            conductance_from_bounds(0.37, 0.95, params)
         assert exc.value.bound == "hi"
         with pytest.raises(OutOfWindowError) as exc:
-            conductance_from_bounds(VoltageInterval(0.95, 0.99), params)
+            conductance_from_bounds(0.95, 0.99, params)
         assert exc.value.bound == "lo"
 
 
@@ -220,6 +242,6 @@ class TestCalibrate:
 
 def test_achievable_window_accepts_full_interval(params):
     w = achievable_window(params)
-    c = conductance_from_bounds(w, params)
+    c = CellConfig(*conductance_from_bounds(w.lo, w.hi, params))
     assert params.g_min <= c.g_m1 <= params.g_max
     assert params.g_min <= c.g_m2 <= params.g_max

@@ -290,12 +290,12 @@ class TestSweep:
         assert abs(hi64 - hi1) <= 0.020
 
     def test_ts_variant_sweep(self, tmp_path):
-        from acamsim.cell import (VoltageInterval, calibrated_defaults,
+        from acamsim.cell import (CellConfig, calibrated_defaults,
                                   conductance_from_bounds)
         from acamsim.devices import TsDeviceParams
         p = calibrated_defaults()
-        cell = conductance_from_bounds(VoltageInterval(0.33, 0.43), p, "ts",
-                                       TsDeviceParams())
+        cell = CellConfig(*conductance_from_bounds(0.33, 0.43, p, "ts",
+                                                   TsDeviceParams()))
         out = str(tmp_path / "ts")
         assert main(["--out", out, "sweep", "--cell",
                      f"{cell.g_m1 * 1e6:.4f},{cell.g_m2 * 1e6:.4f}",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acamsim.devices import (BLEND_V, LN10, DeviceParams, TsDeviceParams,
+from acamsim.devices import (BLEND_V, DEFAULT_PROGRAM_SIGMA, LN10,
+                             DeviceParams, TsDeviceParams, _bisect,
                              _divider_midpoint, _hermite, program_memristor,
                              pulldown_conductance, transistor_conductance,
                              transistor_conductance_inverse,
@@ -93,6 +94,88 @@ class TestTransistorConductance:
         for v in (0.25, params.v_th + 0.002, params.v_th + 0.02, 0.5):
             g = transistor_conductance(v, params)
             assert transistor_conductance_inverse(g, params) == pytest.approx(v, abs=2e-6)
+
+
+def scalar_inverse_reference(g_t, p):
+    """Inverse of the divider transistor curve one Python float at a time:
+    closed form on the triode and sub-threshold branches, a 60-step
+    bisection on ``transistor_conductance`` inside the blend window."""
+    swing_v = p.swing * 1e-3
+    e0 = p.beta * BLEND_V / 4.0
+    if g_t >= p.beta * BLEND_V:
+        return p.v_th + g_t / p.beta
+    if g_t <= e0:
+        return p.v_th + swing_v * math.log10(g_t / e0)
+    lo, hi = p.v_th, p.v_th + BLEND_V
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if transistor_conductance(mid, p) < g_t:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestInverseOnArrays:
+    def test_equals_scalar_reference_on_dense_grid(self, params):
+        p = params
+        e0, e1 = p.beta * BLEND_V / 4.0, p.beta * BLEND_V
+        # both joins and their four nearest neighbours on either side
+        joins = []
+        for g in (e0, e1):
+            joins.append(g)
+            for toward in (0.0, math.inf):
+                x = g
+                for _ in range(4):
+                    x = math.nextafter(x, toward)
+                    joins.append(x)
+        closed = np.geomspace(1e-10, 1e-3, 55_000)
+        closed = closed[(closed <= e0) | (closed >= e1)]
+        # each blend target costs a scalar bisection in both checks below
+        blend = np.linspace(e0, e1, 252)[1:-1]
+        g = np.concatenate([closed, blend, joins])
+        assert g.size >= 50_000
+        assert np.count_nonzero((g > e0) & (g < e1)) >= 250
+        want = [scalar_inverse_reference(x, p) for x in g.tolist()]
+        got = transistor_conductance_inverse(g, p)
+        assert got.tolist() == want
+        for x, v in zip(g.tolist(), want):
+            one = transistor_conductance_inverse(x, p)
+            assert type(one) is float and one == v
+        # shape is kept, 0-d included
+        assert transistor_conductance_inverse(g[:6].reshape(2, 3), p).shape == (2, 3)
+        assert transistor_conductance_inverse(g[:1].reshape(()), p).shape == ()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+    def test_non_finite_or_non_positive_target_raises(self, params, bad):
+        with pytest.raises(DomainError):
+            transistor_conductance_inverse(bad, params)
+        with pytest.raises(DomainError):
+            transistor_conductance_inverse(np.array([20e-6, bad]), params)
+
+    @pytest.mark.parametrize("tol", [1e-3, 0.0])
+    def test_bisect_stops_each_element_at_its_tolerance(self, tol):
+        # elementwise _bisect equals one scalar bisection per element, each
+        # stopping on its own once its bracket is narrower than tol; with
+        # tol 0 all 60 steps run, past the point where brackets stop moving
+        def scalar(target, lo, hi):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if mid ** 3 < target:
+                    lo = mid
+                else:
+                    hi = mid
+                if abs(hi - lo) < tol:
+                    break
+            return lo, hi
+
+        targets = np.array([0.3, 0.0, 0.9, 0.5])
+        lo0 = np.array([0.0, -1.0, 0.95, 0.5])
+        hi0 = np.array([1.0, 0.0, 0.9, 0.5])  # the last two: (hi, lo) order
+        lo, hi = _bisect(lambda v: v ** 3 < targets, lo0, hi0, 60, tol=tol)
+        want = [scalar(*args) for args in
+                zip(targets.tolist(), lo0.tolist(), hi0.tolist())]
+        assert list(zip(lo.tolist(), hi.tolist())) == want
 
 
 def all_branches_conductance(v_dl, p):
@@ -214,7 +297,7 @@ class TestTsOffCurve:
 class TestProgramMemristor:
     def test_converges_within_tolerance(self, params):
         result = program_memristor(40e-6, seed=123, tol=1e-6, max_iters=100,
-                                   p=params, sigma=2e-6)
+                                   p=params)
         assert abs(result.state.g - 40e-6) <= 1e-6
         assert 1 <= result.iterations <= 100
 
@@ -243,18 +326,18 @@ class TestProgramMemristor:
 
     def test_nonconvergence_reports_best(self, params):
         with pytest.raises(ProgrammingError) as exc:
-            program_memristor(40e-6, seed=7, tol=1e-12, max_iters=3, p=params,
-                              sigma=20e-6)
+            program_memristor(40e-6, seed=7, tol=1e-12, max_iters=3, p=params)
         assert exc.value.iterations == 3
         assert params.g_min <= exc.value.best_g <= params.g_max
 
 
-def clip_reference_program(target, seed, tol, max_iters, p, sigma=2e-6):
+def clip_reference_program(target, seed, tol, max_iters, p):
     """Program-and-verify loop clamping each pulse with ``np.clip``."""
     rng = np.random.default_rng(seed)
     best = None
     for i in range(1, max_iters + 1):
-        g = float(np.clip(target + rng.normal(0.0, sigma), p.g_min, p.g_max))
+        g = float(np.clip(target + rng.normal(0.0, DEFAULT_PROGRAM_SIGMA),
+                          p.g_min, p.g_max))
         if best is None or abs(g - target) < abs(best - target):
             best = g
         if abs(g - target) <= tol:
@@ -281,20 +364,19 @@ class TestProgramMemristorRegression:
     def test_nonconvergence_equals_clip_reference(self, params):
         for target in (params.g_min + 1e-9, 40e-6, params.g_max - 1e-9):
             with pytest.raises(ProgrammingError) as got:
-                program_memristor(target, 7, 1e-12, 3, params, sigma=20e-6)
+                program_memristor(target, 7, 1e-12, 3, params)
             with pytest.raises(ProgrammingError) as ref:
-                clip_reference_program(target, 7, 1e-12, 3, params, sigma=20e-6)
+                clip_reference_program(target, 7, 1e-12, 3, params)
             assert got.value.best_g == ref.value.best_g
             assert type(got.value.best_g) is float
             assert got.value.iterations == 3
 
     @pytest.mark.parametrize("kwargs", [
-        dict(sigma=-1e-6), dict(sigma=math.nan), dict(sigma=math.inf),
         dict(tol=math.nan), dict(tol=math.inf), dict(tol=0.0),
     ])
     def test_bad_arguments_rejected_before_any_pulse(self, params, kwargs,
                                                      monkeypatch):
-        args = dict(tol=1e-6, sigma=2e-6) | kwargs
+        args = dict(tol=1e-6) | kwargs
         monkeypatch.setattr(np.random, "default_rng", None)  # no pulse drawn
         with pytest.raises(DomainError):
             program_memristor(40e-6, 0, max_iters=10, p=params, **args)

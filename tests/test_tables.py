@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acamsim.array import make_array, search_many
-from acamsim.cell import (VoltageInterval, bounds_from_conductance,
-                          conductance_from_bounds)
+from acamsim.cell import (CellConfig, VoltageInterval,
+                          bounds_from_conductance, conductance_from_bounds)
 from acamsim.errors import DomainError, OutOfWindowError
 from acamsim.tables import (CamTable, DigitSpec, DigitWord, IntervalWord,
                             LevelFamily, RangeRule, compile_rules,
@@ -172,7 +172,8 @@ class TestLowering:
         word = DigitWord((DigitSpec.wildcard(16),))
         t = CamTable(rows=((word, "w"),), width_bits=4, bits_per_cell=4)
         cell = lower_to_conductances(t, params, fam)[0][0]
-        iv = bounds_from_conductance(cell, params)
+        iv = VoltageInterval(*bounds_from_conductance(cell.g_m1, cell.g_m2,
+                                                      params))
         assert iv.lo == pytest.approx(fam.window.lo, abs=1e-3)
         assert iv.hi == pytest.approx(fam.window.hi, abs=1e-3)
 
@@ -181,7 +182,8 @@ class TestLowering:
         word = DigitWord((DigitSpec.exact(3, 8),))
         t = CamTable(rows=((word, "e"),), width_bits=3, bits_per_cell=3)
         cell = lower_to_conductances(t, params, fam)[0][0]
-        iv = bounds_from_conductance(cell, params)
+        iv = VoltageInterval(*bounds_from_conductance(cell.g_m1, cell.g_m2,
+                                                      params))
         assert iv.lo == pytest.approx(fam.levels[3].lo, abs=1e-3)
         assert iv.hi == pytest.approx(fam.levels[3].hi, abs=1e-3)
 
@@ -190,7 +192,8 @@ class TestLowering:
         word = DigitWord((DigitSpec(2, 5, 8),))
         t = CamTable(rows=((word, "s"),), width_bits=3, bits_per_cell=3)
         cell = lower_to_conductances(t, params, fam)[0][0]
-        iv = bounds_from_conductance(cell, params)
+        iv = VoltageInterval(*bounds_from_conductance(cell.g_m1, cell.g_m2,
+                                                      params))
         assert iv.lo == pytest.approx(fam.levels[2].lo, abs=1e-3)
         assert iv.hi == pytest.approx(fam.levels[5].hi, abs=1e-3)
 
@@ -243,7 +246,8 @@ def per_cell_lowering(t, p, family, variant="mosfet", ts=None):
         row = []
         for ci, iv in enumerate(specs):
             try:
-                row.append(conductance_from_bounds(iv, p, variant, ts))
+                row.append(CellConfig(*conductance_from_bounds(
+                    iv.lo, iv.hi, p, variant, ts)))
             except OutOfWindowError as e:
                 raise OutOfWindowError(f"row {ri} digit {ci}: {e}",
                                        bound=e.bound) from e
@@ -300,7 +304,8 @@ class TestVectorizedLowering:
                      bits_per_cell=2)
         got = lower_to_conductances(t, params, fam)
         assert got == per_cell_lowering(t, params, fam)
-        assert got[0][0] == conductance_from_bounds(narrow, params)
+        assert got[0][0] == CellConfig(*conductance_from_bounds(
+            narrow.lo, narrow.hi, params))
         assert got != lower_to_conductances(t, params)  # default family differs
 
     def test_empty_table(self, params):
@@ -313,8 +318,10 @@ class TestVectorizedLowering:
         both = VoltageInterval(0.02, 0.98)   # both targets outside the window
         lo_only = VoltageInterval(0.02, 0.42)
         hi_only = VoltageInterval(0.36, 0.98)
-        assert raised(conductance_from_bounds, both, params)[1] == "lo"
-        assert raised(conductance_from_bounds, hi_only, params)[1] == "hi"
+        assert raised(conductance_from_bounds, both.lo, both.hi,
+                      params)[1] == "lo"
+        assert raised(conductance_from_bounds, hi_only.lo, hi_only.hi,
+                      params)[1] == "hi"
         cases = [
             # (rows, expected prefix, expected bound)
             ([(ok, ok, ok), (ok, both, hi_only), (lo_only, ok, ok)],
