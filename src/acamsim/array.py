@@ -10,8 +10,9 @@ so the sense criterion is a row-conductance threshold
 ``G_th = C_ML * ln(1/sense_frac) / t_sense``: a row matches when
 ``G_row <= G_th``. Every match decision is made on ``G_th`` (``_matched``);
 ``V_ML`` at the sense instant is only reported. The batched searches equal
-the full kernel ``row_conductances``, which ``discharge_latency`` and
-``sweep_column`` read directly. Sub-threshold leakage of the matching cells
+the full kernel ``row_conductances``, which ``discharge_latency`` reads
+directly; ``sweep_column`` evaluates only its swept column on the grid and
+equals the kernel bit for bit. Sub-threshold leakage of the matching cells
 adds to G_row and slightly moves every stored boundary as the word gets
 longer; ``effective_bounds_in_array`` measures that shift and
 ``analytic_range_shift`` estimates it from the sub-threshold sensitivity.
@@ -168,8 +169,8 @@ def _leg(v_g, variant: str, p: DeviceParams, tp: TsDeviceParams | None):
     return ts_conductance_off_curve(v_g, tp)
 
 
-def _row_sum(a: ArraySpec, g1, g2, g_t, p: DeviceParams) -> np.ndarray:
-    """Sum over the last (column) axis of both legs of every cell.
+def _cell_legs(a: ArraySpec, g1, g2, g_t, p: DeviceParams) -> np.ndarray:
+    """Conductance of both legs of every cell, before any column reduction.
 
     ``g1``/``g2`` are the cells' memristor conductances and ``g_t`` the
     divider-transistor conductance at each cell's DL voltage, broadcast
@@ -178,9 +179,13 @@ def _row_sum(a: ArraySpec, g1, g2, g_t, p: DeviceParams) -> np.ndarray:
     """
     v_g1 = _divider_midpoint(g1, g_t, p)
     v_g2 = inverter_output(_divider_midpoint(g2, g_t, p), p)
-    g_cell = (_leg(v_g1, a.variant, p, a.ts_params)
-              + _leg(v_g2, a.variant, p, a.ts_params))
-    return g_cell.sum(axis=-1)
+    return (_leg(v_g1, a.variant, p, a.ts_params)
+            + _leg(v_g2, a.variant, p, a.ts_params))
+
+
+def _row_sum(a: ArraySpec, g1, g2, g_t, p: DeviceParams) -> np.ndarray:
+    """:func:`_cell_legs` summed over the last (column) axis."""
+    return _cell_legs(a, g1, g2, g_t, p).sum(axis=-1)
 
 
 def row_conductances(a: ArraySpec, stimuli: np.ndarray,
@@ -569,8 +574,18 @@ def sweep_column(a: ArraySpec, col: int, p: DeviceParams, step: float = 0.002
     ``v_ml`` at the sense instant and ``matched``, each (n, rows).
 
     Other columns sit at their stored-interval midpoints, the standard
-    one-column-swept array characterization.
+    one-column-swept array characterization. Only the swept column is
+    evaluated on the grid: the legs of the other columns are evaluated
+    once, at that bias, and every grid point sums the same (rows, cols)
+    legs in the same order as :func:`row_conductances` on
+    :func:`_column_sweep`'s stimuli, its oracle, so ``v_ml`` and
+    ``matched`` equal the full kernel's bit for bit.
     """
     grid, stims = _column_sweep(a, 0, col, p, step)
-    g_row = row_conductances(a, stims, p)
+    bias = _check_stimuli(a, stims[:1])[0]          # grid is in [0, 1] V
+    g_cell = np.empty((len(grid), a.rows, a.cols))
+    g_cell[:] = _cell_legs(a, a.g1, a.g2, transistor_conductance(bias, p), p)
+    g_cell[:, :, col] = _cell_legs(a, a.g1[:, col], a.g2[:, col],
+                                   transistor_conductance(grid, p)[:, None], p)
+    g_row = g_cell.sum(axis=-1)
     return grid, _v_ml_at_sense(a, g_row), _matched(a, g_row)

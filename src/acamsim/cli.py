@@ -31,7 +31,7 @@ from .devices import DeviceParams, program_memristor
 from .errors import (AcamError, CalibrationError, DomainError, ParseError,
                      ProgrammingError)
 from .tables import (CamTable, RangeRule, compile_rules, default_level_family,
-                     encode_integer, family_from_json_dict,
+                     encode_integers, family_from_json_dict,
                      family_to_json_dict, format_grid, lower_to_conductances,
                      parse_rules_jsonl, table_from_json_dict,
                      table_to_json_dict)
@@ -162,6 +162,8 @@ def _array(cells, p, args, variant: str) -> ArraySpec:
 
 def _table_array(table: CamTable, p, args, variant: str, family=None):
     """Array storing ``table`` lowered for ``variant`` (see :func:`_array`)."""
+    if not table.n_rows:
+        raise DomainError("table has no rows")
     return _array(lower_to_conductances(table, p, family=family,
                                         variant=variant), p, args, variant)
 
@@ -309,8 +311,7 @@ def cmd_search(args, config) -> int:
     family = default_level_family(1 << table.bits_per_cell, p,
                                   a.variant, a.ts_params)
     values = [v for _, v in _read_input_lines(args.inputs, int)]
-    stim = np.array([encode_integer(v, table, family) for v in values])
-    matched = search_many(a, stim.reshape(len(values), a.cols), p)
+    matched = search_many(a, encode_integers(values, table, family), p)
     labels = table.labels()
     texts = {}  # label text per distinct set of matched rows
     lines_out = ["value,matched_labels"]

@@ -87,6 +87,8 @@ class DeviceParams:
             raise DomainError("g_off must be below g_on")
         if self.g_off < 0:
             raise DomainError("g_off must be non-negative")
+        if self.g_min <= 0:
+            raise DomainError("g_min must be positive")
         if self.g_min >= self.g_max:
             raise DomainError("g_min must be below g_max")
         if self.beta <= 0:

@@ -317,17 +317,39 @@ def lower_to_conductances(t: CamTable, p: DeviceParams,
     return [cells[r * n_cols:(r + 1) * n_cols] for r in range(t.n_rows)]
 
 
-def encode_integer(value: int, t: CamTable, family: LevelFamily) -> list[float]:
-    """DL voltages addressing ``value`` on a digit table (ternary tables are
-    the 1-bit case)."""
+def _encodable(values, t: CamTable) -> tuple[int, int]:
+    """Bits per cell and digits of the digit table ``t``. Raises
+    :class:`DomainError` naming the first of ``values`` it cannot hold."""
     bits = t.bits_per_cell
     if bits is None:
         raise DomainError("integer encoding needs a digit table")
     n = t.n_cols
-    if not (0 <= value < 1 << bits * n):
-        raise DomainError(
-            f"value {value} not representable in {n} base-{1 << bits} digits")
+    top = 1 << bits * n
+    for value in values:
+        if not 0 <= value < top:
+            raise DomainError(
+                f"value {value} not representable in {n} base-{1 << bits} digits")
+    return bits, n
+
+
+def encode_integer(value: int, t: CamTable, family: LevelFamily) -> list[float]:
+    """DL voltages addressing ``value`` on a digit table (ternary tables are
+    the 1-bit case)."""
+    bits, n = _encodable((value,), t)
     return [family.voltages[d] for d in _digits(value, bits, n)]
+
+
+def encode_integers(values, t: CamTable, family: LevelFamily) -> np.ndarray:
+    """:func:`encode_integer` of every value as one (len(values), cols) array.
+
+    Digits are split with shifts on an object array of Python ints, so
+    tables wider than 63 bits work too.
+    """
+    bits, n = _encodable(values, t)
+    shifts = np.arange(bits * (n - 1), -1, -bits)   # most-significant first
+    v = np.array(values, dtype=object).reshape(-1, 1)
+    digits = (v >> shifts & (1 << bits) - 1).astype(np.intp)
+    return np.array(family.voltages)[digits]
 
 
 # ---------------------------------------------------------------------------

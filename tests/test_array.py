@@ -8,7 +8,8 @@ import pytest
 import acamsim.array
 from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_SWEEP_POINTS,
                            MAX_WORD_LENGTH_CAP, PRUNE_FACTOR, V_PRECHARGE, Parasitics,
-                           _column_bins, _matched, _v_ml_at_sense,
+                           _column_bins, _column_sweep, _matched,
+                           _v_ml_at_sense,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
                            match_threshold_conductance, max_word_length,
@@ -19,7 +20,7 @@ from acamsim.cell import (CellConfig, VoltageInterval, achievable_window,
 from acamsim.devices import (TsDeviceParams, pulldown_conductance,
                              transistor_conductance, ts_conductance_off_curve)
 from acamsim.errors import (DomainError, EmptyIntervalError, NoDischargeError)
-from acamsim.tables import lower_to_conductances
+from acamsim.tables import RangeRule, compile_rules, lower_to_conductances
 from acamsim.trees import tree_to_cam
 
 from test_trees import make_random_tree
@@ -391,6 +392,33 @@ def test_sweep_grid_is_capped(params):
             sweep_column(a, 0, params, step=step)
         with pytest.raises(DomainError, match="at least 1e-05 V"):
             effective_bounds_in_array(a, 0, 0, params, step=step)
+
+
+@pytest.mark.parametrize("variant", ["mosfet", "ts"])
+@pytest.mark.parametrize("source", ["rules", "tree", "cell1", "cell3"])
+def test_sweep_column_equals_full_kernel(params, variant, source):
+    # sweep_column evaluates only the swept column on the grid; the full
+    # kernel on _column_sweep's stimuli is its oracle, bit for bit
+    if source == "rules":
+        cells = lower_to_conductances(compile_rules(
+            [RangeRule(385, 58630, 16, "a"), RangeRule(7, 900, 16, "b")], 4),
+            params, variant=variant)
+    elif source == "tree":
+        tree = make_random_tree(random.Random(5), 3, 4)
+        cells = lower_to_conductances(tree_to_cam(tree, params, variant).table,
+                                      params, variant=variant)
+    else:  # (2 uS, 5 uS): both bounds in the divider's blend window
+        cells = [[CellConfig(40e-6, 80e-6), CellConfig(2e-6, 5e-6),
+                  CellConfig(20e-6, 80e-6)][:int(source[-1])]]
+    a = make_array(cells, variant=variant)
+    for col in range(a.cols):
+        for step in (1e-3, 0.37e-3, 0.5e-3):
+            grid, v_ml, matched = sweep_column(a, col, params, step)
+            want_grid, stims = _column_sweep(a, 0, col, params, step)
+            g_row = row_conductances(a, stims, params)
+            assert np.array_equal(grid, want_grid)
+            assert np.array_equal(v_ml, _v_ml_at_sense(a, g_row))
+            assert np.array_equal(matched, _matched(a, g_row))
 
 
 @pytest.mark.parametrize("step", [0.0, -0.001, float("nan"), float("inf")])

@@ -504,6 +504,35 @@ class TestSearch:
             "error: value 70000 not representable in 4 base-16 digits\n")
         assert not (out / "bad" / "search.csv").exists()
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_empty_table_is_domain_error(self, tmp_path, capsys, command):
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text("")
+        out = str(tmp_path / "e")
+        assert main(["--out", out, "compile", str(rules), "--bits", "4"]) == 0
+        assert capsys.readouterr().out == "empty table\n"
+        values = tmp_path / "values.txt"
+        values.write_text("385\n")
+        table = os.path.join(out, "table.json")
+        args = [table, str(values)] if command == "search" else [table]
+        assert main(["--out", out, command, *args]) == 3
+        assert capsys.readouterr().err == "error: table has no rows\n"
+
+    def test_non_positive_g_min_is_domain_error(self, tmp_path, rules_file,
+                                                capsys):
+        out = str(tmp_path / "g")
+        main(["--out", out, "compile", rules_file, "--bits", "4"])
+        values = tmp_path / "values.txt"
+        values.write_text("385\n")
+        dev = tmp_path / "dev.json"
+        for g_min in (0.0, -1.0):
+            doc = calibrated_defaults().to_json_dict()
+            dev.write_text(json.dumps({**doc, "g_min_uS": g_min}))
+            capsys.readouterr()
+            assert main(["--out", out, "search", os.path.join(out, "table.json"),
+                         str(values), "--device-params", str(dev)]) == 3
+            assert capsys.readouterr().err == "error: g_min must be positive\n"
+
     def test_non_integer_line_is_parse_error(self, tmp_path, rules_file,
                                              capsys):
         out = str(tmp_path / "qp")

@@ -12,7 +12,8 @@ from acamsim.cell import (CellConfig, VoltageInterval,
 from acamsim.errors import DomainError, OutOfWindowError
 from acamsim.tables import (CamTable, DigitSpec, DigitWord, IntervalWord,
                             LevelFamily, RangeRule, compile_rules,
-                            default_level_family, encode_integer, format_grid,
+                            default_level_family, encode_integer,
+                            encode_integers, format_grid,
                             lower_to_conductances, parse_rules_jsonl,
                             range_to_digits, table_from_json_dict,
                             table_to_json_dict)
@@ -410,6 +411,32 @@ def test_encode_integer_range_checked(params):
         encode_integer(65536, t, fam)
     with pytest.raises(DomainError):
         encode_integer(-1, t, fam)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_encode_integers_equals_encode_integer(params, bits):
+    t = compile_rules([RangeRule(3, 200, 8)], bits)
+    fam = default_level_family(1 << bits, params)
+    values = list(range(1 << bits * t.n_cols))  # 0 .. the largest value
+    want = np.array([encode_integer(v, t, fam) for v in values])
+    assert np.array_equal(encode_integers(values, t, fam), want)
+    assert encode_integers([], t, fam).shape == (0, t.n_cols)
+
+
+def test_encode_integers_wide_and_out_of_range(params):
+    t = compile_rules([RangeRule(5, 2 ** 70 - 3, 70)], 8)
+    fam = default_level_family(256, params)
+    values = [0, 1, 2 ** 63, 2 ** 64 + 5, 3 ** 44, 2 ** 70 - 1]
+    assert np.array_equal(encode_integers(values, t, fam),
+                          [encode_integer(v, t, fam) for v in values])
+    t = compile_rules([REFERENCE_RULE], 4)
+    fam = default_level_family(16, params)
+    for values, first in (([385, -1, 70000], -1), ([65536, -1], 65536),
+                          ([0, 2 ** 64 + 1, -5], 2 ** 64 + 1)):
+        with pytest.raises(DomainError) as e:
+            encode_integer(first, t, fam)
+        with pytest.raises(DomainError, match=f"^{e.value}$"):
+            encode_integers(values, t, fam)
 
 
 def test_rule_validation():
