@@ -9,8 +9,9 @@ In the triode regime both bounds are affine in the stored conductance:
     hi = g_m2 * (v_slhi / v_th_inv - 1) / beta + v_th
 
 Outside the triode regime (small conductances) the bound follows the
-sub-threshold branch, also in closed form; only bounds in the 10 mV blend
-window between the branches are bisected. Both mappings work elementwise.
+sub-threshold branch, also in closed form; bounds in the 10 mV blend window
+between the branches take Newton steps and a few-ulp settle step, landing
+where a bisection would. Both mappings work elementwise.
 ``calibrate`` recovers the free parameters from published single-cell
 operating points; foundry values are not available, so the default parameter
 set is the calibration product.

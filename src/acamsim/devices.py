@@ -9,7 +9,9 @@ expressed as conductances:
 * ``transistor_conductance`` - channel conductance of the divider transistor
   vs. DL voltage: linear (triode) ``beta * (v - v_th)`` above threshold, a
   sub-threshold exponential with slope ``swing`` mV/decade below it, joined
-  C1 over a small blend window so root-finding never sees a kink.
+  C1 over a small blend window so root-finding never sees a kink. Its
+  inverse is closed form on both branches; in the window, Newton steps and
+  a few-ulp settle step land where a bisection of the window settles.
 * ``_divider_midpoint`` - the midpoint ``v_slhi * g_m / (g_m + g_t)``;
   it, its two inverses and the inverter pair are the one divider model.
 * ``pulldown_conductance`` - the ML pull-down channel vs. its gate voltage:
@@ -36,6 +38,11 @@ from .errors import DomainError, ProgrammingError
 # C1 smoothing window around the divider transistor threshold (V). Keeps the
 # piecewise conductance model differentiable so root-finding never sees a kink.
 BLEND_V = 0.010
+
+# Inverting the blend window: Newton steps, then at most BLEND_SETTLE_ULPS
+# one-ulp moves to the settle pair; an element left unsettled is bisected.
+BLEND_NEWTON_STEPS = 8
+BLEND_SETTLE_ULPS = 16
 
 # Transition width of the ML pull-down at its threshold (V). The nominal
 # model is a step from the sub-threshold branch to g_on; this narrow C1 ramp
@@ -173,6 +180,13 @@ def _hermite(u, y0, m0, y1, m1):
             + y1 * (-2 * u3 + 3 * u2) + m1 * (u3 - u2))
 
 
+def _blend_knots(p: DeviceParams):
+    """``(y0, m0, y1, m1)`` of ``transistor_conductance``'s blend Hermite:
+    the exponential's value and slope at v_th, the line's at v_th + BLEND_V."""
+    e0, e1 = p.beta * BLEND_V / 4.0, p.beta * BLEND_V
+    return e0, e0 * LN10 / (p.swing * 1e-3) * BLEND_V, e1, e1
+
+
 def transistor_conductance(v_dl, p: DeviceParams):
     """Channel conductance of the divider transistor at DL voltage ``v_dl``.
 
@@ -195,10 +209,7 @@ def transistor_conductance(v_dl, p: DeviceParams):
         out[sub] = e0 * np.power(10.0, u[sub] / swing_v)
     blend = ~sub & (u < BLEND_V)
     if blend.any():
-        # endpoint slopes: exponential slope at v_th, beta at v_th + BLEND_V
-        out[blend] = _hermite(u[blend] / BLEND_V, e0,
-                              e0 * LN10 / swing_v * BLEND_V, p.beta * BLEND_V,
-                              p.beta * BLEND_V)
+        out[blend] = _hermite(u[blend] / BLEND_V, *_blend_knots(p))
     return float(out) if np.isscalar(v_dl) else out
 
 
@@ -224,12 +235,53 @@ def _bisect(below, lo, hi, steps: int, tol: float = 0.0):
     return lo, hi
 
 
+def _blend_inverse(g, p: DeviceParams):
+    """Inverse of ``transistor_conductance`` on blend-window targets ``g``
+    (1-d): ``0.5 * (lo + nextafter(lo, inf))`` for the last ``lo`` below
+    v_th + BLEND_V with ``transistor_conductance(lo) < g``, unique as the
+    curve never decreases. A 60-step bisection of the window settles there
+    bit for bit for any v_th of 0.1 mV or more.
+
+    Newton on the Hermite, a cubic in ``u = (v - v_th) / BLEND_V``, from
+    linear interpolation lands within an ulp or so of ``lo``; the settle
+    step walks ulp by ulp from there. Elements still unsettled after
+    BLEND_SETTLE_ULPS moves are bisected.
+    """
+    y0, m0, y1, m1 = _blend_knots(p)
+    c2, c3 = 3 * (y1 - y0) - 2 * m0 - m1, 2 * (y0 - y1) + m0 + m1
+    u = (g - y0) / (y1 - y0)
+    for _ in range(BLEND_NEWTON_STEPS):
+        f = ((c3 * u + c2) * u + m0) * u + y0 - g
+        u = np.clip(u - f / ((3 * c3 * u + 2 * c2) * u + m0), 0.0, 1.0)
+    top = p.v_th + BLEND_V  # the bisection's upper end: never below g
+    lo = p.v_th + u * BLEND_V
+    settled = np.zeros(g.shape, dtype=bool)
+    for _ in range(BLEND_SETTLE_ULPS):
+        pair = np.stack([lo, np.nextafter(lo, math.inf)])
+        below_lo, below_up = (transistor_conductance(pair, p) < g) & (pair < top)
+        settled = below_lo & ~below_up
+        if settled.all():
+            break
+        lo = np.where(settled, lo, np.where(below_lo, pair[1],
+                                            np.nextafter(lo, -math.inf)))
+    v = 0.5 * (lo + np.nextafter(lo, math.inf))
+    if not settled.all():
+        g_r = g[~settled]
+        v_th = np.full(g_r.shape, p.v_th)
+        a, b = _bisect(lambda x: transistor_conductance(x, p) < g_r,
+                       v_th, v_th + BLEND_V, 60)
+        v[~settled] = 0.5 * (a + b)
+    return v
+
+
 def transistor_conductance_inverse(g_t, p: DeviceParams):
     """DL voltage at which the divider transistor reaches conductance ``g_t``.
 
     Elementwise. Closed form on the triode and sub-threshold branches (the
     latter through ``math.log10``, whose rounding lowered targets and level
-    windows depend on); one bisection for every element in the blend window.
+    windows depend on); in the blend window, Newton steps on the blend
+    Hermite and a settle step of a few ulps (:func:`_blend_inverse`) give,
+    bit for bit, the float a bisection of the window settles on.
     Raises :class:`DomainError` unless every target is positive and finite.
     """
     g = np.asarray(g_t, dtype=float)
@@ -245,11 +297,7 @@ def transistor_conductance_inverse(g_t, p: DeviceParams):
                   else math.nan for x in flat]).reshape(g.shape)
     blend = np.isnan(v)
     if blend.any():
-        g_b = g[blend]
-        v_th = np.full(g_b.shape, p.v_th)
-        lo, hi = _bisect(lambda u: transistor_conductance(u, p) < g_b,
-                         v_th, v_th + BLEND_V, 60)
-        v[blend] = 0.5 * (lo + hi)
+        v[blend] = _blend_inverse(g[blend], p)
     return float(v) if np.isscalar(g_t) else v
 
 

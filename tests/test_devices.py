@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acamsim import devices
 from acamsim.devices import (BLEND_V, DEFAULT_PROGRAM_SIGMA, LN10,
                              DeviceParams, TsDeviceParams, _bisect,
                              _divider_midpoint, _hermite, program_memristor,
@@ -176,6 +177,114 @@ class TestInverseOnArrays:
         want = [scalar(*args) for args in
                 zip(targets.tolist(), lo0.tolist(), hi0.tolist())]
         assert list(zip(lo.tolist(), hi.tolist())) == want
+
+
+# a second valid parameter set next to calibrated_defaults(): a steeper
+# sub-threshold swing, another transconductance, and a threshold at which
+# (v_th + BLEND_V) - v_th rounds below BLEND_V, so the window's upper end
+# lies on the blend, a few ulps below the triode join
+OTHER_PARAMS = dict(v_th=0.1, v_th_ml=0.22, v_th_inv=0.26, beta=3.1e-4,
+                    swing=70.0)
+
+
+@pytest.fixture(params=["calibrated", "other"])
+def any_params(request, params):
+    return params if request.param == "calibrated" else DeviceParams(**OTHER_PARAMS)
+
+
+def ulps_around(x, n):
+    """``x`` and the ``n`` floats on either side of it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def bisect_inverse(g, p):
+    """Blend-window targets ``g`` inverted by one elementwise 60-step
+    ``_bisect`` of [v_th, v_th + BLEND_V]."""
+    v_th = np.full(g.shape, p.v_th)
+    lo, hi = _bisect(lambda v: transistor_conductance(v, p) < g,
+                     v_th, v_th + BLEND_V, 60)
+    return 0.5 * (lo + hi)
+
+
+def blend_grid(p):
+    """At least 10^5 targets strictly inside the blend window, and both joins
+    with the four nearest floats on either side of each."""
+    e0, e1 = p.beta * BLEND_V / 4.0, p.beta * BLEND_V
+    joins = [x for join in (e0, e1) for x in ulps_around(join, 4)]
+    return np.linspace(e0, e1, 100_002)[1:-1], np.array(sorted(joins))
+
+
+def no_bisect(*args, **kwargs):
+    raise AssertionError("the blend-window inverse fell back to _bisect")
+
+
+class TestBlendInverse:
+    """Newton-and-settle lands, bit for bit, where bisecting the window does."""
+
+    def test_conductance_never_decreases(self, any_params):
+        # the settle pair is unique only on a curve that never decreases
+        p = any_params
+        v = [np.linspace(0.0, 1.0, 1_000_001)]
+        for x in (p.v_th, p.v_th + BLEND_V, 0.0, 1.0):
+            v.append(np.array(ulps_around(x, 10_000)))
+        v = np.unique(np.concatenate(v))
+        assert v.size > 1_000_000
+        assert np.all(np.diff(transistor_conductance(v, p)) >= 0.0)
+
+    def test_equals_one_bisection(self, any_params, monkeypatch):
+        p = any_params
+        grid, joins = blend_grid(p)
+        e0, e1 = p.beta * BLEND_V / 4.0, p.beta * BLEND_V
+        assert np.count_nonzero((joins > e0) & (joins < e1)) == 8
+        want_grid = bisect_inverse(grid, p)
+        want_joins = [scalar_inverse_reference(x, p) for x in joins.tolist()]
+        monkeypatch.setattr(devices, "_bisect", no_bisect)
+        assert transistor_conductance_inverse(grid, p).tolist() == want_grid.tolist()
+        # 0-d, 1-element and (2, 3)-shaped calls on the joins and a sample
+        g = np.concatenate([joins, grid[::1000]])
+        want = np.concatenate([want_joins, want_grid[::1000]])
+        for x, v in zip(g.tolist(), want.tolist()):
+            one = transistor_conductance_inverse(x, p)
+            assert type(one) is float and one == v
+            assert transistor_conductance_inverse(np.array(x), p).tolist() == v
+            assert transistor_conductance_inverse([x], p).tolist() == [v]
+        n = g.size - g.size % 6
+        for g6, want6 in zip(g[:n].reshape(-1, 2, 3), want[:n].reshape(-1, 2, 3)):
+            assert transistor_conductance_inverse(g6, p).tolist() == want6.tolist()
+
+    def test_dense_grid_never_falls_back(self, params, monkeypatch):
+        monkeypatch.setattr(devices, "_bisect", no_bisect)
+        TestInverseOnArrays().test_equals_scalar_reference_on_dense_grid(params)
+
+    @pytest.mark.parametrize("newton_steps, settle_ulps", [(8, 0), (3, 16)])
+    def test_fallback_when_forced_equals_bisection(self, params, monkeypatch,
+                                                    newton_steps, settle_ulps):
+        # no settle moves leave every element to _bisect; three Newton steps
+        # leave some elements too far for the settle walk and not others
+        grid, _ = blend_grid(params)
+        grid = grid[::10]
+        want = bisect_inverse(grid, params)
+        bisected = []
+
+        def counted(below, lo, hi, steps):
+            bisected.append(lo.size)
+            return _bisect(below, lo, hi, steps)
+
+        monkeypatch.setattr(devices, "_bisect", counted)
+        monkeypatch.setattr(devices, "BLEND_NEWTON_STEPS", newton_steps)
+        monkeypatch.setattr(devices, "BLEND_SETTLE_ULPS", settle_ulps)
+        assert transistor_conductance_inverse(grid, params).tolist() == want.tolist()
+        assert len(bisected) == 1
+        if settle_ulps == 0:
+            assert bisected[0] == grid.size
+        else:
+            assert 0 < bisected[0] < grid.size
 
 
 def all_branches_conductance(v_dl, p):
