@@ -34,7 +34,7 @@ import numpy as np
 from .cell import VoltageInterval, bounds_from_conductance
 from .devices import (DeviceParams, TsDeviceParams, _bisect,
                       _divider_midpoint, _divider_transistor, _inverter_input,
-                      inverter_output, pulldown_conductance,
+                      _reach_voltages, inverter_output, pulldown_conductance,
                       transistor_conductance, ts_conductance_off_curve)
 from .errors import (DomainError, EmptyIntervalError, NoDischargeError)
 
@@ -52,6 +52,11 @@ PRUNE_FACTOR = 2.0
 # Input x row x column elements search_words handles per chunk of inputs, which
 # bounds its working memory whatever the batch size.
 CHUNK_ELEMENTS = 2 ** 18
+# Input x row x column elements from which a search_words batch builds the
+# lookup tables rather than comparing on g_t directly (the crossover of the
+# 38 x 4 tree table lies near 2**16, that of the 6 x 4 reference rule near
+# 2**15).
+LOOKUP_MIN_ELEMENTS = 2 ** 15
 # A set of rows is packed into words of this type: row r is bit r % 64 of
 # word r // 64 (search_words).
 WORD = np.dtype("<u8")
@@ -89,9 +94,9 @@ class ArraySpec:
     variant: str = "mosfet"  # "mosfet" (pull-down) or "ts" (pull-up)
     ts_params: TsDeviceParams | None = None  # ts: TsDeviceParams() if None
     c_sense: float = 1e-15  # fixed sense-node capacitance (F)
-    # (p, per-column prune thresholds, packed per-column lookup tables or
-    # None) of the last search_words call; they depend only on p and the
-    # fields above
+    # (p, per-column prune thresholds, per-column lookup tables in DL volts
+    # or None) of the last search_words call; they depend only on p and
+    # the fields above
     _tables: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -264,24 +269,41 @@ def _prune_thresholds(a: ArraySpec, g1: np.ndarray, g2: np.ndarray,
 
 def _column_bins(t1: np.ndarray, t2: np.ndarray, u1: np.ndarray,
                  u2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct edges of one column and its row flags in every bin.
+    """Sorted distinct edges of all columns and each column's packed row
+    flags in every bin between them.
 
-    A row is live at ``g_t`` when ``t1 < g_t < t2`` and quiet when also
-    ``u1 <= g_t <= u2`` (all four are per-row vectors). Each flag turns at
-    one of the edges ``nextafter(t1, inf)``, ``t2``, ``u1`` and
-    ``nextafter(u2, inf)``, so it is constant from one sorted edge up to
-    the next and equals the compares at the bin's lowest value (``-inf``
-    for the first bin). ``live[searchsorted(edges, g_t, "right")]`` is
-    then the strict compare bit for bit, and likewise ``quiet``: (edges +
-    1, rows) tables. Duplicate edges would only add empty bins; dropping
-    them shortens every search.
+    ``t1``, ``t2``, ``u1`` and ``u2`` are (cols, rows). In a column, a row
+    is live at ``g_t`` when ``t1 < g_t < t2`` and quiet when also ``u1 <=
+    g_t <= u2``. Each flag turns at one of the edges ``nextafter(t1, inf)``,
+    ``t2``, ``u1`` and ``nextafter(u2, inf)``, so on the bins between the
+    sorted edges of every column it holds on one run of bins, from the bin
+    its rising edge opens up to the one its falling edge opens. With ``b =
+    searchsorted(edges, g_t, "right")``, ``live[c, b]`` and ``quiet[c, b]``
+    are the strict compares in column ``c``, packed, bit for bit. Returns
+    edges (k,) and live and quiet (cols, k + 1, words). Each run is set by
+    XOR at its two ends and a running XOR over the bins, for all columns in
+    one pass.
     """
-    edges = np.sort(np.concatenate([np.nextafter(t1, np.inf), t2, u1,
-                                    np.nextafter(u2, np.inf)]))
+    cols, rows = t1.shape
+    ends = np.concatenate([np.nextafter(t1, np.inf), t2, u1,
+                           np.nextafter(u2, np.inf)], axis=1)
+    edges = np.sort(ends, axis=None)
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
-    lows = np.append(-np.inf, edges)[:, None]
-    live = (lows > t1) & (lows < t2)
-    return edges, live, live & (lows >= u1) & (lows <= u2)
+    # the bin an edge opens: one past the edges below it (bin 0 is below all)
+    opens = np.searchsorted(edges, ends) + (ends > -np.inf)
+    live_on, live_off, quiet_on, quiet_off = (
+        opens[:, k * rows:(k + 1) * rows] for k in range(4))
+    quiet_on = np.maximum(quiet_on, live_on)
+    quiet_off = np.maximum(np.minimum(quiet_off, live_off), quiet_on)
+    at = np.stack([[live_on, np.maximum(live_off, live_on)],
+                   [quiet_on, quiet_off]])              # (2, 2, cols, rows)
+    flips = np.zeros((2, cols, len(edges) + 2, -(-rows // 64)), dtype=WORD)
+    row = np.arange(rows)
+    np.bitwise_xor.at(flips, (np.arange(2)[:, None, None, None],
+                              np.arange(cols)[:, None], at, row // 64),
+                      WORD.type(1) << (row % 64).astype(WORD))
+    live, quiet = np.bitwise_xor.accumulate(flips[:, :, :-1], axis=2)
+    return edges, live, quiet
 
 
 def _v_ml_at_sense(a: ArraySpec, g_row: np.ndarray) -> np.ndarray:
@@ -339,17 +361,25 @@ def _single_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _search_tables(a: ArraySpec, p: DeviceParams, lookup: bool):
     """Prune thresholds ``(t1, t2, u1, u2)``, each (cols, rows), and with
-    ``lookup`` the packed :func:`_column_bins` table of every column (else
-    None). Built once per ``p`` and kept on the spec."""
+    ``lookup`` one lookup table ``(edges, live, quiet)`` per column from
+    :func:`_column_bins`, its edges mapped to DL volts (else None). Built
+    once per ``p`` and kept on the spec."""
     if a._tables is None or a._tables[0] != p:
         bounds = tuple(b.T.copy() for b in _prune_thresholds(a, a.g1, a.g2, p))
         object.__setattr__(a, "_tables", (p, bounds, None))
     _, bounds, columns = a._tables
     if lookup and columns is None:
+        edges, live, quiet = _column_bins(*bounds)
+        v_edges = _reach_voltages(edges, p)
+        # each column keeps only the edges its flags turn at, which shortens
+        # every search of it
+        turns = ((live[:, 1:] != live[:, :-1])
+                 | (quiet[:, 1:] != quiet[:, :-1])).any(axis=2)
         columns = []
-        for c in range(a.cols):
-            edges, live, quiet = _column_bins(*(b[c] for b in bounds))
-            columns.append((edges, _pack(live), _pack(quiet)))
+        for turn, live_c, quiet_c in zip(turns, live, quiet):
+            k = np.flatnonzero(turn)
+            b = np.append(0, k + 1)
+            columns.append((v_edges[k], live_c[b], quiet_c[b]))
         object.__setattr__(a, "_tables", (p, bounds, columns))
     return bounds, columns if lookup else None
 
@@ -383,15 +413,21 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
     When ``PRUNE_FACTOR * G_th`` is beyond a leg's maximum (very long
     words), no row is rejected. The live (not rejected) and quiet
     (accepted) rows of an input are row sets, ANDed across columns as in
-    bit-vector packet classification. Per column, the four thresholds of
-    all rows are sorted once into edges with the packed live and quiet row
-    sets between each pair (:func:`_column_bins`): one ``searchsorted`` and
-    one word gather per input and column give the flags. The tables pay off
-    only for more inputs than a column has bins (``4 * rows + 1``). For
-    fewer inputs, or when one column's (bins, rows) flags or the packed
-    tables of all columns pass ``CHUNK_ELEMENTS`` (about 256 rows), the same
-    compares are made directly, column by column, and packed. Thresholds
-    and tables are kept on the spec for the last ``p`` searched with.
+    bit-vector packet classification. The four thresholds of every cell
+    are sorted once into edges, with each column's packed live and quiet
+    row sets between each pair (:func:`_column_bins`); each column keeps
+    the edges its sets change at. ``g_t`` never decreases
+    in the DL voltage, so each edge is kept as the smallest DL voltage at
+    which ``g_t`` reaches it, and the stimulus volts are searched as given:
+    one ``searchsorted`` and one word gather per input and column give the
+    flags, and ``g_t`` is evaluated only for the inputs with an ambiguous
+    pair, for the kernel. The tables pay off only for batches of at least
+    ``LOOKUP_MIN_ELEMENTS`` input x row x column elements and more inputs
+    than a column has thresholds (``4 * rows``). For fewer, or when the
+    packed tables of all columns could pass ``CHUNK_ELEMENTS``, the same
+    compares are made directly on ``g_t``, column by column, and packed.
+    Thresholds and tables are kept on the spec for the last ``p`` searched
+    with.
 
     Inputs are processed in chunks of at most ``CHUNK_ELEMENTS`` input x row
     x column elements (one input when a single word exceeds it). Only the
@@ -402,8 +438,8 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
     stimuli = _check_stimuli(a, stimuli)
     n = stimuli.shape[0]
     n_words = -(-a.rows // 64)
-    bins = 4 * a.rows + 1                           # per column, at most
-    lookup = (bins <= n and bins * a.rows <= CHUNK_ELEMENTS
+    bins = 4 * a.rows * a.cols + 1                  # at most
+    lookup = (n > 4 * a.rows and n * a.rows * a.cols >= LOOKUP_MIN_ELEMENTS
               and 2 * bins * n_words * a.cols <= CHUNK_ELEMENTS)
     (t1, t2, u1, u2), columns = _search_tables(a, p, lookup)
     g1, g2 = a.conductance_matrices()               # (rows, cols)
@@ -411,8 +447,9 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
     step = max(1, CHUNK_ELEMENTS // (a.rows * a.cols))
     pair_step = max(1, CHUNK_ELEMENTS // a.cols)
     for start in range(0, n, step):
-        g_t = transistor_conductance(stimuli[start:start + step], p)  # (m, cols)
+        v = stimuli[start:start + step]             # (m, cols)
         if columns is None:
+            g_t = transistor_conductance(v, p)
             live = quiet = True
             for c in range(a.cols):
                 g = g_t[:, c, None]
@@ -420,12 +457,13 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
                 quiet = quiet & (g >= u1[c]) & (g <= u2[c])
             live, quiet = _pack(live), _pack(quiet & live)
         else:
+            g_t = None                              # no input converted yet
             live = quiet = WORD.type(2 ** 64 - 1)   # every row
-            for (edges, live_c, quiet_c), g in zip(columns, g_t.T):
-                b = np.searchsorted(edges, g, "right")
+            for (v_edges, live_c, quiet_c), v_c in zip(columns, v.T):
+                b = np.searchsorted(v_edges, v_c, "right")
                 live = live & live_c.take(b, axis=0)
                 quiet = quiet & quiet_c.take(b, axis=0)
-        out[start:start + g_t.shape[0]] = quiet
+        out[start:start + len(v)] = quiet
         ambiguous = live & ~quiet
         w = np.flatnonzero(ambiguous)               # often none
         if w.size == 0:
@@ -433,6 +471,11 @@ def search_words(a: ArraySpec, stimuli, p: DeviceParams) -> np.ndarray:
         j, bit = np.nonzero(_unpack(ambiguous.reshape(-1)[w, None], 64))
         i, word = np.divmod(w[j], n_words)
         r = word * 64 + bit
+        if g_t is None:  # only the inputs the kernel takes
+            some = np.zeros(len(v), dtype=bool)
+            some[i] = True
+            g_t = np.empty(v.shape)
+            g_t[some] = transistor_conductance(v[some], p)
         # slices bound the kernel's memory when a word is long
         for s in range(0, i.size, pair_step):
             ii, rr = i[s:s + pair_step], r[s:s + pair_step]

@@ -12,6 +12,8 @@ expressed as conductances:
   C1 over a small blend window so root-finding never sees a kink. Its
   inverse is closed form on both branches; in the window, Newton steps and
   a few-ulp settle step land where a bisection of the window settles.
+  ``_reach_voltages`` gives the first float at which the curve reaches a
+  conductance, which lets the array search keep its edges in DL volts.
 * ``_divider_midpoint`` - the midpoint ``v_slhi * g_m / (g_m + g_t)``;
   it, its two inverses and the inverter pair are the one divider model.
 * ``pulldown_conductance`` - the ML pull-down channel vs. its gate voltage:
@@ -28,6 +30,7 @@ Functions accept scalars or numpy arrays (voltages or conductances).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -43,6 +46,12 @@ BLEND_V = 0.010
 # one-ulp moves to the settle pair; an element left unsettled is bisected.
 BLEND_NEWTON_STEPS = 8
 BLEND_SETTLE_ULPS = 16
+# Up to this many targets, the Newton steps run on Python floats: numpy's
+# per-call overhead would cost more.
+BLEND_NEWTON_FLOATS = 8
+# Mapping conductance edges to DL voltages: each seed is checked this many
+# ulps either side in one call; an element left unsettled is bisected.
+EDGE_CHECK_ULPS = 3
 
 # Transition width of the ML pull-down at its threshold (V). The nominal
 # model is a step from the sub-threshold branch to g_on; this narrow C1 ramp
@@ -53,6 +62,11 @@ PD_BLEND_V = 0.003
 DEFAULT_PROGRAM_SIGMA = 2e-6
 
 LN10 = math.log(10.0)
+# Smallest sub-threshold swing (mV/decade) at which the blend of
+# transistor_conductance never decreases: its Hermite has end slopes
+# ln10 * BLEND_V / (3 * swing_V) and 4/3 of its rise, monotone for a first
+# slope up to (7 + 2 * sqrt(6)) / 3.
+MIN_SWING = LN10 * BLEND_V * 1e3 / (7 + 2 * math.sqrt(6))
 
 
 @dataclass(frozen=True)
@@ -100,8 +114,9 @@ class DeviceParams:
             raise DomainError("g_min must be below g_max")
         if self.beta <= 0:
             raise DomainError("beta must be positive")
-        if self.swing <= 0:
-            raise DomainError("swing must be positive")
+        if self.swing < MIN_SWING:
+            raise DomainError(f"swing must be at least {MIN_SWING:.4f} mV/decade, "
+                              "or the divider conductance curve decreases")
         if self.inv_gain <= 0:
             raise DomainError("inv_gain must be positive")
 
@@ -235,6 +250,27 @@ def _bisect(below, lo, hi, steps: int, tol: float = 0.0):
     return lo, hi
 
 
+def _blend_newton(g, p: DeviceParams):
+    """DL voltages near where the blend Hermite reaches ``g`` (1-d, inside
+    the window): BLEND_NEWTON_STEPS Newton steps on the Hermite, a cubic in
+    ``u = (v - v_th) / BLEND_V``, from linear interpolation, each clipped
+    to [0, 1]. They land within an ulp or so of the crossing."""
+    y0, m0, y1, m1 = _blend_knots(p)
+    c2, c3 = 3 * (y1 - y0) - 2 * m0 - m1, 2 * (y0 - y1) + m0 + m1
+
+    def solve(g, clip):  # the same float arithmetic on arrays and on floats
+        u = (g - y0) / (y1 - y0)
+        for _ in range(BLEND_NEWTON_STEPS):
+            f = ((c3 * u + c2) * u + m0) * u + y0 - g
+            u = clip(u - f / ((3 * c3 * u + 2 * c2) * u + m0))
+        return p.v_th + u * BLEND_V
+
+    if g.size > BLEND_NEWTON_FLOATS:
+        return solve(g, lambda u: np.minimum(np.maximum(u, 0.0), 1.0))
+    return np.array([solve(x, lambda u: min(max(u, 0.0), 1.0))
+                     for x in g.tolist()])
+
+
 def _blend_inverse(g, p: DeviceParams):
     """Inverse of ``transistor_conductance`` on blend-window targets ``g``
     (1-d): ``0.5 * (lo + nextafter(lo, inf))`` for the last ``lo`` below
@@ -242,19 +278,11 @@ def _blend_inverse(g, p: DeviceParams):
     curve never decreases. A 60-step bisection of the window settles there
     bit for bit for any v_th of 0.1 mV or more.
 
-    Newton on the Hermite, a cubic in ``u = (v - v_th) / BLEND_V``, from
-    linear interpolation lands within an ulp or so of ``lo``; the settle
-    step walks ulp by ulp from there. Elements still unsettled after
-    BLEND_SETTLE_ULPS moves are bisected.
+    The settle step walks ulp by ulp from :func:`_blend_newton`'s seed.
+    Elements still unsettled after BLEND_SETTLE_ULPS moves are bisected.
     """
-    y0, m0, y1, m1 = _blend_knots(p)
-    c2, c3 = 3 * (y1 - y0) - 2 * m0 - m1, 2 * (y0 - y1) + m0 + m1
-    u = (g - y0) / (y1 - y0)
-    for _ in range(BLEND_NEWTON_STEPS):
-        f = ((c3 * u + c2) * u + m0) * u + y0 - g
-        u = np.clip(u - f / ((3 * c3 * u + 2 * c2) * u + m0), 0.0, 1.0)
     top = p.v_th + BLEND_V  # the bisection's upper end: never below g
-    lo = p.v_th + u * BLEND_V
+    lo = _blend_newton(g, p)
     settled = np.zeros(g.shape, dtype=bool)
     for _ in range(BLEND_SETTLE_ULPS):
         pair = np.stack([lo, np.nextafter(lo, math.inf)])
@@ -272,6 +300,55 @@ def _blend_inverse(g, p: DeviceParams):
                        v_th, v_th + BLEND_V, 60)
         v[~settled] = 0.5 * (a + b)
     return v
+
+
+@functools.lru_cache(maxsize=64)
+def _rail_conductances(p: DeviceParams) -> tuple[float, float]:
+    """``transistor_conductance`` at 0 V and at 1 V."""
+    return tuple(transistor_conductance(np.array([0.0, 1.0]), p).tolist())
+
+
+def _reach_voltages(g, p: DeviceParams) -> np.ndarray:
+    """Smallest float ``v`` with ``transistor_conductance(v) >= g``, per
+    element of ``g``: ``-inf`` where ``g`` is at most the conductance at
+    0 V and ``inf`` where it is above the one at 1 V.
+
+    As the curve never decreases, ``v >= reach`` and ``g_t(v) >= g`` agree
+    for every ``v`` in [0, 1] V. Seeds come from the closed forms of the
+    triode and sub-threshold branches and :func:`_blend_newton`; one call
+    evaluates EDGE_CHECK_ULPS ulps either side of each, and the first float
+    that reaches ``g`` is the answer where the window holds the step.
+    Other elements are bisected on float ordinals, which is exact.
+    """
+    g = np.asarray(g, dtype=float)
+    g_0, g_1 = _rail_conductances(p)
+    out = np.where(g <= g_0, -math.inf, math.inf)
+    inside = (g > g_0) & (g <= g_1)
+    x = g[inside]
+    e0, e1 = p.beta * BLEND_V / 4.0, p.beta * BLEND_V
+    seed = np.where(x >= e1, p.v_th + x / p.beta,
+                    p.v_th + p.swing * 1e-3 * np.log10(x / e0))
+    blend = (x > e0) & (x < e1)
+    if blend.any():
+        seed[blend] = _blend_newton(x[blend], p)
+    # the answer lies in (0, 1], and on positive floats the int64 bit
+    # pattern counts ulps
+    ords = np.minimum(np.maximum(seed, 5e-324), 1.0).view(np.int64)[:, None]
+    ords = ords + np.arange(-EDGE_CHECK_ULPS, EDGE_CHECK_ULPS + 1)
+    near = np.maximum(ords, 0).view(float)
+    reached = transistor_conductance(near, p) >= x[:, None]
+    v = near[np.arange(x.size), reached.argmax(axis=1)]
+    missed = reached[:, 0] | ~reached[:, -1]
+    if missed.any():
+        lo = np.zeros(np.count_nonzero(missed), dtype=np.int64)
+        hi = np.full(lo.shape, np.float64(1.0).view(np.int64))
+        for _ in range(62):  # [0, 1] V spans under 2**62 ordinals
+            mid = (lo + hi) >> 1
+            up = transistor_conductance(mid.view(float), p) >= x[missed]
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        v[missed] = hi.view(float)
+    out[inside] = v
+    return out
 
 
 def transistor_conductance_inverse(g_t, p: DeviceParams):

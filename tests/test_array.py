@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import acamsim.array
-from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, MAX_SWEEP_POINTS,
+from acamsim.array import (ArraySpec, CHUNK_ELEMENTS, LOOKUP_MIN_ELEMENTS,
+                           MAX_SWEEP_POINTS,
                            MAX_WORD_LENGTH_CAP, PRUNE_FACTOR, V_PRECHARGE, Parasitics,
-                           _column_bins, _column_sweep, _matched,
+                           _column_bins, _column_sweep, _matched, _unpack,
                            _v_ml_at_sense,
                            analytic_range_shift, discharge_latency,
                            effective_bounds_in_array, make_array,
@@ -599,7 +600,7 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("cols", [1, 4, 16])
     @pytest.mark.parametrize("sides", ["both", "m1", "m2"])
     def test_rows_of_legs_all_part_way_on(self, params, ts_params, variant,
-                                          cols, sides):
+                                          cols, sides, monkeypatch):
         # row k conducts f_k * G_th, shared evenly by the legs of ``sides``
         # (the others sit at a 0.05 V gate): only rows with f_k below
         # 1 / PRUNE_FACTOR may be accepted without the kernel, and rows
@@ -626,7 +627,8 @@ class TestPrunedSearch:
         want = _full_kernel(a, stims, params)
         assert 0 < want[0].sum() < len(fracs)
         # one word takes the direct compares, a batch of one more word than
-        # a column has bins the lookup tables
+        # a column has thresholds the lookup tables
+        monkeypatch.setattr(acamsim.array, "LOOKUP_MIN_ELEMENTS", 0)
         assert np.array_equal(search_many(a, stims[:1], params), want[:1])
         assert np.array_equal(search_many(a, stims, params), want)
 
@@ -634,19 +636,18 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("rows", [70, 300])
     def test_equals_full_kernel_on_tall_tables_with_repeated_rows(
             self, params, ts_params, variant, rows):
-        # 70 rows take the per-column lookup tables for the whole batch of
-        # about 6k inputs (5 chunks) and the direct compares for 200
-        # inputs, fewer than a column's 281 bins; 300 rows are past the
-        # size of one column's flags and always take the direct compares
+        # both take the lookup tables for the whole batch of about 6k
+        # inputs (5 chunks at 70 rows, 21 at 300) and the direct compares
+        # for 200 inputs, no more than a column has thresholds
         ts = ts_params if variant == "ts" else None
         rng = np.random.default_rng(43 + rows)
         cells = _random_cells(rng, params, variant, ts, 20, 3)
         cells = [cells[k] for k in rng.integers(len(cells), size=rows)]
         a = make_array(cells, variant=variant, ts_params=ts)
-        bins, words = 4 * rows + 1, -(-rows // 64)
-        assert (bins * rows <= CHUNK_ELEMENTS
-                and 2 * bins * words * 3 <= CHUNK_ELEMENTS) == (rows == 70)
+        bins, words = 4 * rows * 3 + 1, -(-rows // 64)
+        assert 2 * bins * words * 3 <= CHUNK_ELEMENTS and 200 <= 4 * rows
         stims = _differential_stimuli(rng, a, params, sweep_rows=20)
+        assert len(stims) * rows * 3 >= LOOKUP_MIN_ELEMENTS
         want = _full_kernel(a, stims, params)
         assert np.array_equal(search_many(a, stims, params), want)
         assert np.array_equal(search_many(a, stims[:200], params), want[:200])
@@ -718,9 +719,12 @@ class TestPackedRowSets:
         want = _full_kernel(a, stims, params)
         assert want[:, -1].any() and not want[:, -1].all()
         bins = 4 * rows + 1
-        # the whole batch takes the per-column lookup tables, and slices of
-        # fewer inputs than a column has bins the direct compares
-        assert bins <= len(stims) and bins * rows * 3 <= CHUNK_ELEMENTS
+        # the whole batch takes the lookup tables, even where it is too
+        # small to pay for them, and slices of no more inputs than a column
+        # has thresholds the direct compares
+        monkeypatch.setattr(acamsim.array, "LOOKUP_MIN_ELEMENTS", 0)
+        assert bins <= len(stims)
+        assert 2 * (4 * rows * 3 + 1) * -(-rows // 64) * 3 <= CHUNK_ELEMENTS
         words = search_words(a, stims, params)
         assert words.dtype == np.dtype("<u8")
         assert words.shape == (len(stims), -(-rows // 64))
@@ -736,6 +740,105 @@ class TestPackedRowSets:
         a = make_array([[reference_cell(params)]] * 70)
         assert search_words(a, np.empty((0, 1)), params).shape == (0, 2)
         assert search_many(a, np.empty((0, 1)), params).shape == (0, 70)
+
+
+class TestVoltageEdgeLookup:
+    """The lookup tables keep their edges in DL volts, and search the
+    stimulus volts as given: it must agree with the kernel at every edge."""
+
+    @staticmethod
+    def _edge_stimuli(a, params):
+        """Each column's edge voltages, 1-3 ulps either side, 0 V and 1 V,
+        in the midpoint word of a row, one row after another."""
+        (t1, t2, u1, u2), _ = acamsim.array._search_tables(a, params, False)
+        lo, hi = bounds_from_conductance(a.g1, a.g2, params, a.variant,
+                                         a.ts_params)
+        mid = 0.5 * (lo + hi)
+        blocks = []
+        for c in range(a.cols):
+            g = np.concatenate([np.nextafter(t1[c], np.inf), t2[c], u1[c],
+                                np.nextafter(u2[c], np.inf)])
+            v = acamsim.devices._reach_voltages(g, params)
+            v = np.sort(v[np.isfinite(v)])
+            v = v[np.append(True, v[1:] != v[:-1])]
+            near = [v]
+            for toward in (-np.inf, np.inf):
+                w = v
+                for _ in range(3):
+                    w = np.nextafter(w, toward)
+                    near.append(w)
+            vals = np.clip(np.concatenate(near + [[0.0, 1.0]]), 0.0, 1.0)
+            block = mid[np.arange(len(vals)) % a.rows].copy()
+            block[:, c] = vals
+            blocks.append(block)
+        return np.vstack(blocks)
+
+    @pytest.mark.parametrize("variant", ["mosfet", "ts"])
+    def test_equals_full_kernel_at_every_edge(self, params, ts_params, variant,
+                                              monkeypatch):
+        ts = ts_params if variant == "ts" else None
+        monkeypatch.setattr(acamsim.array, "LOOKUP_MIN_ELEMENTS", 0)
+        rng = np.random.default_rng(89)
+        cells = _random_cells(rng, params, variant, ts, 24, 3)
+        rails = 0
+        for rows, t_sense in ((1, 100e-12), (63, 100e-12), (64, 100e-12),
+                              (65, 100e-12), (129, 100e-12), (4, 2e-12)):
+            # t_sense 2e-12 s prunes nothing: t1 = -inf and t2 = inf, edges
+            # below the conductance at 0 V and above the one at 1 V
+            row_cells = [cells[k % len(cells)] for k in range(rows)]
+            a = make_array(row_cells, variant=variant, ts_params=ts,
+                           t_sense=t_sense)
+            stims = self._edge_stimuli(a, params)
+            assert len(stims) > 4 * rows
+            want = _full_kernel(a, stims, params)
+            assert np.array_equal(search_many(a, stims, params), want)
+            # each column's flags at each input are the compares on its g_t
+            (t1, t2, u1, u2), columns = a._tables[1:]
+            g = transistor_conductance(stims, params)
+            for c, (v_edges, live_c, quiet_c) in enumerate(columns):
+                b = np.searchsorted(v_edges, stims[:, c], "right")
+                g_c = g[:, c, None]
+                live = (g_c > t1[c]) & (g_c < t2[c])
+                assert np.array_equal(_unpack(live_c[b], rows), live)
+                assert np.array_equal(_unpack(quiet_c[b], rows),
+                                      live & (g_c >= u1[c]) & (g_c <= u2[c]))
+                rails += np.isinf(v_edges).sum()
+            # every edge settled by the ulp check equals the bisection
+            with monkeypatch.context() as forced:
+                forced.setattr(acamsim.devices, "EDGE_CHECK_ULPS", 0)
+                fresh = make_array(row_cells, variant=variant, ts_params=ts,
+                                   t_sense=t_sense)
+                assert np.array_equal(search_many(fresh, stims, params), want)
+            assert all(f[0].tobytes() == c[0].tobytes()
+                       for f, c in zip(fresh._tables[2], columns))
+        assert rails >= 2
+
+    def test_lattice_inputs_are_never_converted(self, params, monkeypatch):
+        # a tree_batch-like tree: 38 leaves on 4 features, lattice midpoints
+        tree = make_random_tree(random.Random(132), 4, 8)
+        tt = tree_to_cam(tree, params)
+        a = make_array(lower_to_conductances(tt.table, params))
+        rng = np.random.default_rng(101)
+        lattice = tt.encode_many((rng.integers(16, size=(16384, 4)) + 0.5) / 16)
+        uniform = tt.encode_many(rng.uniform(size=(16384, 4)))
+        search_words(a, lattice, params)            # builds the tables
+        (t1, t2, u1, u2), _ = acamsim.array._search_tables(a, params, True)
+        g = transistor_conductance(uniform, params)[:, None, :]  # (n, 1, cols)
+        live = ((g > t1.T) & (g < t2.T)).all(axis=2)
+        quiet = live & ((g >= u1.T) & (g <= u2.T)).all(axis=2)
+        ambiguous_inputs = int((live & ~quiet).any(axis=1).sum())
+        assert ambiguous_inputs > 0
+        converted = []
+        conductance = acamsim.array.transistor_conductance
+
+        def counted(v, p):
+            converted.append(np.size(v))
+            return conductance(v, p)
+        monkeypatch.setattr(acamsim.array, "transistor_conductance", counted)
+        search_words(a, lattice, params)
+        assert sum(converted) == 0
+        search_words(a, uniform, params)
+        assert sum(converted) == ambiguous_inputs * 4
 
 
 class TestSearchTablesCache:
@@ -862,20 +965,27 @@ class TestColumnBins:
                                    [-np.inf, np.inf, 0.0, -0.0]])
 
     def _check(self, t1, t2, u1, u2):
+        t1, t2, u1, u2 = map(np.atleast_2d, (t1, t2, u1, u2))  # (cols, rows)
+        cols, rows = t1.shape
         edges, live, quiet = _column_bins(t1, t2, u1, u2)
         assert np.all(edges[1:] > edges[:-1])  # sorted, no duplicates
-        assert live.shape == quiet.shape == (len(edges) + 1, len(t1))
-        g = self._probes(np.concatenate([t1, t2, u1, u2, edges]))[:, None]
-        b = np.searchsorted(edges, g[:, 0], "right")
-        want_live = (g > t1) & (g < t2)
-        assert np.array_equal(live[b], want_live)
-        assert np.array_equal(quiet[b], want_live & (g >= u1) & (g <= u2))
+        assert live.shape == quiet.shape == (cols, len(edges) + 1,
+                                             -(-rows // 64))
+        g = self._probes(np.concatenate([t1, t2, u1, u2, edges[None]],
+                                        axis=None))
+        b = np.searchsorted(edges, g, "right")
+        g = g[:, None]
+        for c in range(cols):
+            want_live = (g > t1[c]) & (g < t2[c])
+            assert np.array_equal(_unpack(live[c, b], rows), want_live)
+            assert np.array_equal(_unpack(quiet[c, b], rows),
+                                  want_live & (g >= u1[c]) & (g <= u2[c]))
 
     def test_duplicate_thresholds(self):
         rng = np.random.default_rng(53)
-        for _ in range(50):
+        for shape in [40] * 50 + [(3, 70)] * 10:
             pool = rng.uniform(1e-6, 1e-3, size=rng.integers(1, 6))
-            t1, t2, u1, u2 = (rng.choice(pool, size=40) for _ in range(4))
+            t1, t2, u1, u2 = (rng.choice(pool, size=shape) for _ in range(4))
             self._check(t1, t2, u1, u2)
             self._check(t1, t1, t1, t1)
 
@@ -897,5 +1007,4 @@ class TestColumnBins:
             a = make_array(_random_cells(rng, params, variant, ts, 30, 4),
                            variant=variant, ts_params=ts)
             bounds = acamsim.array._prune_thresholds(a, a.g1, a.g2, params)
-            for c in range(a.cols):
-                self._check(*(b[:, c] for b in bounds))
+            self._check(*(b.T for b in bounds))

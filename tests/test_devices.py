@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acamsim import devices
-from acamsim.devices import (BLEND_V, DEFAULT_PROGRAM_SIGMA, LN10,
+from acamsim.devices import (BLEND_V, DEFAULT_PROGRAM_SIGMA, LN10, MIN_SWING,
                              DeviceParams, TsDeviceParams, _bisect,
+                             _reach_voltages,
                              _divider_midpoint, _hermite, program_memristor,
                              pulldown_conductance, transistor_conductance,
                              transistor_conductance_inverse,
@@ -220,6 +221,16 @@ def blend_grid(p):
     return np.linspace(e0, e1, 100_002)[1:-1], np.array(sorted(joins))
 
 
+def assert_never_decreases(p):
+    """Dense grid over [0, 1] V and 10k ulps either side of each join."""
+    v = [np.linspace(0.0, 1.0, 1_000_001)]
+    for x in (p.v_th, p.v_th + BLEND_V, 0.0, 1.0):
+        v.append(np.array(ulps_around(x, 10_000)))
+    v = np.unique(np.concatenate(v))
+    assert v.size > 1_000_000
+    assert np.all(np.diff(transistor_conductance(v, p)) >= 0.0)
+
+
 def no_bisect(*args, **kwargs):
     raise AssertionError("the blend-window inverse fell back to _bisect")
 
@@ -229,13 +240,11 @@ class TestBlendInverse:
 
     def test_conductance_never_decreases(self, any_params):
         # the settle pair is unique only on a curve that never decreases
-        p = any_params
-        v = [np.linspace(0.0, 1.0, 1_000_001)]
-        for x in (p.v_th, p.v_th + BLEND_V, 0.0, 1.0):
-            v.append(np.array(ulps_around(x, 10_000)))
-        v = np.unique(np.concatenate(v))
-        assert v.size > 1_000_000
-        assert np.all(np.diff(transistor_conductance(v, p)) >= 0.0)
+        assert_never_decreases(any_params)
+
+    def test_conductance_never_decreases_just_above_the_swing_bound(
+            self, params):
+        assert_never_decreases(replace(params, swing=1.01 * MIN_SWING))
 
     def test_equals_one_bisection(self, any_params, monkeypatch):
         p = any_params
@@ -285,6 +294,39 @@ class TestBlendInverse:
             assert bisected[0] == grid.size
         else:
             assert 0 < bisected[0] < grid.size
+
+
+class TestReachVoltages:
+    """The first float at which the divider conductance reaches a target."""
+
+    @staticmethod
+    def _targets(p):
+        g_0, g_1 = transistor_conductance(np.array([0.0, 1.0]), p)
+        rng = np.random.default_rng(97)
+        return np.concatenate([
+            transistor_conductance(np.linspace(0.0, 1.0, 20_001), p),
+            np.geomspace(g_0, g_1, 20_001),
+            [g_0, np.nextafter(g_0, math.inf), g_1, np.nextafter(g_1, 0.0),
+             np.nextafter(g_1, math.inf), 0.0, -1.0, -math.inf, math.inf,
+             -np.finfo(float).max]]), g_0, g_1
+
+    def test_first_float_at_or_above_each_target(self, any_params):
+        p = any_params
+        g, g_0, g_1 = self._targets(p)
+        v = _reach_voltages(g, p)
+        assert np.array_equal(v == -math.inf, g <= g_0)
+        assert np.array_equal(v == math.inf, g > g_1)
+        ok = np.isfinite(v)
+        assert np.all((v[ok] > 0.0) & (v[ok] <= 1.0))
+        assert np.all(transistor_conductance(v[ok], p) >= g[ok])
+        below = np.nextafter(v[ok], -math.inf)
+        assert np.all(transistor_conductance(below, p) < g[ok])
+
+    def test_forced_bisection_gives_the_same_floats(self, params, monkeypatch):
+        g = self._targets(params)[0][::7]
+        want = _reach_voltages(g, params)
+        monkeypatch.setattr(devices, "EDGE_CHECK_ULPS", 0)
+        assert _reach_voltages(g, params).tobytes() == want.tobytes()
 
 
 def all_branches_conductance(v_dl, p):
@@ -526,6 +568,7 @@ class TestDeviceParams:
         dict(v_th_inv=0.0),
         dict(beta=-1e-4),
         dict(swing=0.0),
+        dict(swing=1.9),              # the blend would decrease (MIN_SWING)
         dict(g_min=2e-4, g_max=1e-4),
         dict(g_on=1e-9, g_off=1e-6),
         dict(g_off=-1e-10),

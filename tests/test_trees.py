@@ -186,8 +186,8 @@ class TestWideTables:
     @pytest.mark.parametrize("seed, depth, rows", [(6, 9, 105), (10, 10, 136)])
     def test_tree_of_more_than_64_leaves_matches_traversal(self, params, seed,
                                                            depth, rows):
-        # 105 and 136 rows x 4 columns take the per-column lookup tables for
-        # a large batch
+        # 105 and 136 rows x 4 columns take the lookup tables for a large
+        # batch
         tree = make_random_tree(random.Random(seed), 4, max_depth=depth)
         tt = tree_to_cam(tree, params)
         assert tt.table.n_rows == rows
@@ -195,7 +195,7 @@ class TestWideTables:
         xs = (nrng.integers(16, size=(6000, 4)) + 0.5) / 16
         assert classify_many(tt, xs, params) == [tree.classify(x) for x in xs]
         assert tt._array(params)._tables[2] is not None
-        # fewer inputs than a column has bins take the direct compares
+        # fewer inputs than a column has thresholds take the direct compares
         assert (classify_many(tt, xs[:50], params)
                 == [tree.classify(x) for x in xs[:50]])
 
